@@ -4,8 +4,14 @@ filter by diameter and forbidden-pattern freeness, record extremal widths.
 Enumeration is vertex augmentation: every connected graph on n vertices
 arises from a connected graph on n-1 by adding one vertex with a nonempty
 neighbourhood (every connected graph has a non-cut vertex), deduplicated
-by canonical code.  The unfiltered counts 1, 1, 2, 6, 21, 112 for
-n = 1..6 anchor correctness.
+by canonical code.  The augmentation is orbit-pruned (McKay,
+*Isomorph-free exhaustive generation*, J. Algorithms 1998): neighbourhoods
+in one orbit of the parent's automorphisms give isomorphic graphs, so
+only the least neighbourhood mask of each orbit is tried, under the
+automorphisms ``canonical_code`` found for the parent.  The first graph
+seen in each class is always built from such a least mask, so the levels
+and their representatives are those of the unpruned enumeration.  The
+unfiltered counts 1, 1, 2, 6, 21, 112 for n = 1..6 anchor correctness.
 """
 
 from __future__ import annotations
@@ -21,26 +27,66 @@ from .width import treedepth_exact, pathwidth_exact, treewidth_exact
 CENSUS_LIMIT = 9
 
 
-def enumerate_connected_graphs(n_max: int) -> list[list[Graph]]:
-    """levels[n] = connected graphs on n vertices up to isomorphism,
-    in canonical-code order (levels[0] is empty)."""
+def _orbit_minimal_masks(k: int, generators: list[tuple[int, ...]], lowest: int) -> list[int]:
+    """The least mask of each orbit of the group generated by
+    ``generators`` acting on subsets of range(k), ascending, from
+    ``lowest`` on."""
+    if not generators:
+        return list(range(lowest, 1 << k))
+    images = []
+    for gamma in generators:
+        image = [0] * (1 << k)
+        for mask in range(1, 1 << k):
+            low = mask & -mask
+            image[mask] = image[mask ^ low] | (1 << gamma[low.bit_length() - 1])
+        images.append(image)
+    done = bytearray(1 << k)
+    minimal = []
+    for mask in range(lowest, 1 << k):
+        if done[mask]:
+            continue
+        minimal.append(mask)
+        done[mask] = 1
+        stack = [mask]
+        while stack:
+            x = stack.pop()
+            for image in images:
+                y = image[x]
+                if not done[y]:
+                    done[y] = 1
+                    stack.append(y)
+    return minimal
+
+
+def _enumerate(n_max: int, connected: bool) -> list[list[Graph]]:
+    """levels[n] = graphs on n vertices up to isomorphism, connected ones
+    only if ``connected`` (then the added vertex has a nonempty
+    neighbourhood), in canonical-code order."""
     if n_max > CENSUS_LIMIT:
         raise ValueError(f"census enumeration limited to {CENSUS_LIMIT} vertices")
     levels: list[list[Graph]] = [[], [graph_from_edges(1, [])]]
+    generators: list[list[tuple[int, ...]]] = [[]]  # per graph of the last level
+    lowest = 1 if connected else 0
     for n in range(2, n_max + 1):
-        seen: dict[bytes, Graph] = {}
-        for base in levels[n - 1]:
-            edges = list(base.edges())
-            for nbhd in range(1, 1 << (n - 1)):
-                extra = [
-                    (n - 1, v) for v in range(n - 1) if (nbhd >> v) & 1
-                ]
-                g = graph_from_edges(n, edges + extra)
-                code = canonical_code(g)
+        seen: dict[bytes, tuple[Graph, list[tuple[int, ...]]]] = {}
+        for base, gens in zip(levels[n - 1], generators):
+            for nbhd in _orbit_minimal_masks(n - 1, gens, lowest):
+                adj = [a | ((nbhd >> v) & 1) << (n - 1) for v, a in enumerate(base.adj)]
+                g = Graph(n, (*adj, nbhd))
+                auts: list[tuple[int, ...]] = []
+                code = canonical_code(g, automorphisms=auts)
                 if code not in seen:
-                    seen[code] = g
-        levels.append([seen[c] for c in sorted(seen)])
+                    seen[code] = (g, auts)
+        codes = sorted(seen)
+        levels.append([seen[c][0] for c in codes])
+        generators = [seen[c][1] for c in codes]
     return levels
+
+
+def enumerate_connected_graphs(n_max: int) -> list[list[Graph]]:
+    """levels[n] = connected graphs on n vertices up to isomorphism,
+    in canonical-code order (levels[0] is empty)."""
+    return _enumerate(n_max, connected=True)
 
 
 def connected_graph_counts(n_max: int) -> list[int]:
@@ -49,21 +95,7 @@ def connected_graph_counts(n_max: int) -> list[int]:
 
 def enumerate_all_graphs(n_max: int) -> list[list[Graph]]:
     """All graphs (connected or not) up to isomorphism, per order."""
-    if n_max > CENSUS_LIMIT:
-        raise ValueError(f"census enumeration limited to {CENSUS_LIMIT} vertices")
-    levels: list[list[Graph]] = [[], [graph_from_edges(1, [])]]
-    for n in range(2, n_max + 1):
-        seen: dict[bytes, Graph] = {}
-        for base in levels[n - 1]:
-            edges = list(base.edges())
-            for nbhd in range(1 << (n - 1)):
-                extra = [(n - 1, v) for v in range(n - 1) if (nbhd >> v) & 1]
-                g = graph_from_edges(n, edges + extra)
-                code = canonical_code(g)
-                if code not in seen:
-                    seen[code] = g
-        levels.append([seen[c] for c in sorted(seen)])
-    return levels
+    return _enumerate(n_max, connected=False)
 
 
 @dataclass(frozen=True)

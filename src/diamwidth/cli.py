@@ -160,7 +160,9 @@ def _cmd_width(args) -> int:
         lo, hi = result.bounds
         print(json.dumps({"parameter": args.parameter, "exact": False, "lower": lo, "upper": hi}))
         return EXIT_OK
-    assert verify_certificate(g, result)
+    if not verify_certificate(g, result):
+        sys.stderr.write(f"width: {args.parameter} certificate failed verification\n")
+        return EXIT_CHECK_FAILED
     print(json.dumps({"parameter": args.parameter, "exact": True, "value": result.value}))
     if args.certificate:
         with open(args.certificate, "w", encoding="utf-8") as fh:

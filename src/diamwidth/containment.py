@@ -51,6 +51,8 @@ def verify_embedding(host: Graph, pattern: Graph, emb: Embedding) -> bool:
         vm = emb.vertex_map
         if len(vm) != pattern.n or len(set(vm)) != pattern.n:
             return False
+        if any(not 0 <= x < host.n for x in vm):
+            return False
         for u, v in pattern.edges():
             if not host.has_edge(vm[u], vm[v]):
                 return False
@@ -66,7 +68,7 @@ def verify_embedding(host: Graph, pattern: Graph, emb: Embedding) -> bool:
             return False
         seen: set[int] = set()
         for bs in sets:
-            if not bs or seen & bs:
+            if not bs or seen & bs or any(not 0 <= v < host.n for v in bs):
                 return False
             seen |= bs
             mask = 0

@@ -208,15 +208,19 @@ def _blocking_bound(g, anchor, lengths, budget):
                         freq[w] = freq.get(w, 0) + 1
         return freq
 
+    def by_frequency(cyc, blockers):
+        freq = freq_of(blockers)
+        return max(
+            (w for w in cyc if not (core >> w) & 1),
+            key=lambda w: (freq.get(w, 0), g.degree(w), -w),
+        )
+
     strategies = [
         lambda cyc, blockers: max(
             (w for w in cyc if not (core >> w) & 1),
             key=lambda w: (g.degree(w), -w),
         ),
-        lambda cyc, blockers: max(
-            (w for w in cyc if not (core >> w) & 1),
-            key=lambda w: (freq_of(blockers).get(w, 0), g.degree(w), -w),
-        ),
+        by_frequency,
     ]
     best = None
     for pick_fn in strategies:

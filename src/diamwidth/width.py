@@ -305,14 +305,36 @@ def _decomposition_from_order(g: Graph, order: list[int]) -> TreeDecomposition:
         attach.append(nxt)
         for u in bit_indices(nb):
             adj[u] |= nb & ~(1 << u)
-    edges = []
-    for i, nxt in enumerate(attach):
-        if nxt is not None:
-            edges.append((i, pos[nxt]))
+    # A bag with no later neighbour ends a component; joining it to the
+    # last bag makes the forest one tree without breaking any subtree.
+    edges = [(i, n - 1 if nxt is None else pos[nxt]) for i, nxt in enumerate(attach[:-1])]
     return TreeDecomposition(tuple(bags), tuple(edges))
 
 
 # -- certificate verification --------------------------------------------------
+
+
+def _is_tree(nodes: int, edges) -> bool:
+    """Whether ``edges`` form one tree on the nodes 0..nodes-1."""
+    if len(edges) != max(nodes - 1, 0):
+        return False
+    root = list(range(nodes))
+
+    def find(x: int) -> int:
+        while root[x] != x:
+            root[x] = root[root[x]]
+            x = root[x]
+        return x
+
+    for a, b in edges:
+        if not (0 <= a < nodes and 0 <= b < nodes):
+            return False
+        ra, rb = find(a), find(b)
+        if ra == rb:
+            return False
+        root[ra] = rb
+    # nodes - 1 edges and no cycle: the edges span one tree
+    return True
 
 
 def verify_certificate(g: Graph, result: WidthResult) -> bool:
@@ -321,6 +343,8 @@ def verify_certificate(g: Graph, result: WidthResult) -> bool:
     if result.parameter == "td":
         forest = result.certificate
         if not isinstance(forest, EliminationForest) or len(forest.parents) != g.n:
+            return False
+        if any(not -1 <= p < g.n for p in forest.parents):
             return False
         # acyclic parent structure over exactly V(G)
         for v in range(g.n):
@@ -352,8 +376,10 @@ def verify_certificate(g: Graph, result: WidthResult) -> bool:
         for u, v in g.edges():
             if not any(u in b and v in b for b in dec.bags):
                 return False
-        # bags containing each vertex form a connected subtree
         nb = len(dec.bags)
+        if not _is_tree(nb, dec.tree_edges):
+            return False
+        # bags containing each vertex form a connected subtree
         tree: list[set[int]] = [set() for _ in range(nb)]
         for a, b in dec.tree_edges:
             tree[a].add(b)

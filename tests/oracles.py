@@ -208,3 +208,43 @@ def _contract(g: Graph, u: int, v: int) -> Graph:
         if a2 != b2:
             edges.add((index[a2], index[b2]))
     return graph_from_edges(len(keep), sorted(edges))
+
+
+def unpruned_canonical_code(g: Graph) -> bytes:
+    """``canon.canonical_code`` without automorphism pruning: the same
+    refinement and leaf encoding, every leaf of the search tree visited."""
+    from diamwidth.canon import _code_for_order, _refine
+
+    prefix = bytes([g.n]) + g.m.to_bytes(2, "big") + bytes(sorted(g.degrees))
+    if g.n <= 1:
+        return prefix
+    by_deg: dict[int, list[int]] = {}
+    for v in range(g.n):
+        by_deg.setdefault(g.degree(v), []).append(v)
+    codes = []
+
+    def search(cells: list[list[int]]) -> None:
+        cells = _refine(g.adj, cells)
+        target = next((i for i, c in enumerate(cells) if len(c) > 1), None)
+        if target is None:
+            codes.append(_code_for_order(g.adj, [c[0] for c in cells]))
+            return
+        cell = cells[target]
+        for v in cell:
+            rest = [u for u in cell if u != v]
+            search(cells[:target] + [[v], rest] + cells[target + 1 :])
+
+    search([by_deg[d] for d in sorted(by_deg)])
+    return prefix + min(codes)
+
+
+def atlas_graphs() -> list[Graph]:
+    """Every graph on 1..7 vertices from ``networkx.graph_atlas_g()``, an
+    enumeration independent of this package (test-only import)."""
+    import networkx as nx
+
+    out = []
+    for h in nx.graph_atlas_g()[1:]:
+        idx = {v: i for i, v in enumerate(h.nodes())}
+        out.append(graph_from_edges(len(idx), [(idx[u], idx[v]) for u, v in h.edges()]))
+    return out

@@ -1,11 +1,20 @@
 import random
+import time
 from itertools import combinations
 
 import pytest
 
 from diamwidth.canon import CanonicalLimitError, are_isomorphic, canonical_code
-from diamwidth.families import cycle_graph, path_graph, spider, wall
-from diamwidth.graphs import graph_from_edges
+from diamwidth.families import (
+    complete_bipartite,
+    complete_graph,
+    cycle_graph,
+    path_graph,
+    spider,
+    wall,
+)
+from diamwidth.graphs import edgeless_graph, graph_from_edges
+from oracles import atlas_graphs, unpruned_canonical_code
 
 
 def permuted(g, seed):
@@ -43,3 +52,60 @@ def test_four_vertex_graph_count_is_eleven():
 def test_limit_is_enforced():
     with pytest.raises(CanonicalLimitError):
         canonical_code(wall(3), limit=16)
+
+
+def test_pruned_codes_equal_unpruned_search():
+    pytest.importorskip("networkx")
+    for i, g in enumerate(atlas_graphs()):
+        code = canonical_code(g)
+        assert code == unpruned_canonical_code(g), g
+        assert canonical_code(permuted(g, i)) == code, g
+    for g in [wall(2), cycle_graph(9), complete_bipartite(3, 4), spider([2, 2, 2])]:
+        code = unpruned_canonical_code(g)
+        for seed in range(3):
+            assert canonical_code(permuted(g, seed)) == code
+
+
+def test_pruned_codes_on_random_regular_graphs():
+    # refinement cannot split a regular graph, so the search branches from
+    # the root and the found automorphisms rarely fix the prefix
+    nx = pytest.importorskip("networkx")
+    for n, d in [(9, 4), (10, 3), (11, 6), (12, 3), (12, 5)]:
+        for seed in range(8):
+            h = nx.random_regular_graph(d, n, seed=seed)
+            g = graph_from_edges(n, list(h.edges()))
+            code = unpruned_canonical_code(g)
+            assert canonical_code(g) == code, (n, d, seed)
+            assert canonical_code(permuted(g, seed)) == code, (n, d, seed)
+
+
+def test_automorphisms_preserve_adjacency():
+    pytest.importorskip("networkx")
+    graphs = atlas_graphs() + [wall(2), complete_bipartite(4, 4), edgeless_graph(9)]
+    for g in graphs:
+        auts = []
+        canonical_code(g, automorphisms=auts)
+        for gamma in auts:
+            assert sorted(gamma) == list(range(g.n))
+            for u in range(g.n):
+                image = 0
+                for v in range(g.n):
+                    if g.has_edge(u, v):
+                        image |= 1 << gamma[v]
+                assert g.adj[gamma[u]] == image, (g, gamma)
+
+
+def test_symmetric_graphs_are_fast():
+    cases = [
+        (complete_graph(10), 16),
+        (edgeless_graph(10), 16),
+        (complete_bipartite(5, 5), 16),
+        (complete_bipartite(10, 10), 20),
+    ]
+    for g, limit in cases:
+        t0 = time.perf_counter()
+        auts = []
+        code = canonical_code(g, limit, automorphisms=auts)
+        assert time.perf_counter() - t0 < 0.5, g
+        assert auts
+        assert canonical_code(permuted(g, 3), limit) == code

@@ -127,6 +127,16 @@ def test_convert_round_trip(tmp_path, capsys):
     assert open(back).read() == el.read_text()
 
 
+def test_width_rejects_failed_certificate(tmp_path, capsys, monkeypatch):
+    import diamwidth.cli
+
+    g6 = str(tmp_path / "g.g6")
+    run(["construct", "cycle:6", "--out", g6], capsys)
+    monkeypatch.setattr(diamwidth.cli, "verify_certificate", lambda g, result: False)
+    code, out = run(["width", "tw", "--in", g6], capsys)
+    assert code == 1 and out == ""
+
+
 def test_malformed_graph6_is_usage_error(tmp_path, capsys):
     bad = tmp_path / "bad.g6"
     bad.write_text("C\n")

@@ -63,6 +63,15 @@ def test_minor_examples():
     assert isinstance(has_minor(PETERSEN(), complete_graph(5)), Embedding)
 
 
+def test_verify_embedding_rejects_out_of_range_ids():
+    c4, p3 = cycle_graph(4), path_graph(3)
+    assert verify_embedding(c4, p3, Embedding("subgraph", (0, 1, 2)))
+    assert not verify_embedding(c4, p3, Embedding("subgraph", (0, 1, 4)))
+    assert not verify_embedding(c4, p3, Embedding("induced", (-1, 0, 1)))
+    sets = (frozenset({0}), frozenset({1}), frozenset({2, 7}))
+    assert not verify_embedding(c4, p3, Embedding("minor", branch_sets=sets))
+
+
 def PETERSEN():
     return graph_from_edges(
         10,

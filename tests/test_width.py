@@ -19,6 +19,7 @@ from diamwidth.polarity import er_polarity_graph
 from diamwidth.width import (
     EliminationForest,
     SizeLimitError,
+    TreeDecomposition,
     WidthResult,
     pathwidth_exact,
     treedepth_bounds,
@@ -80,6 +81,21 @@ def test_certificates_verify_and_fakes_fail():
     assert not verify_certificate(p3, fake)
     cyclic = WidthResult("td", 2, EliminationForest((1, 0, 1)), True)
     assert not verify_certificate(p3, cyclic)
+    out_of_range = WidthResult("td", 2, EliminationForest((1, -1, 3)), True)
+    assert not verify_certificate(p3, out_of_range)
+
+
+def test_tree_decomposition_must_be_a_tree():
+    c4 = cycle_graph(4)
+    bags = tuple(frozenset((i, (i + 1) % 4)) for i in range(4))
+    ring = WidthResult("tw", 1, TreeDecomposition(bags, ((0, 1), (1, 2), (2, 3), (3, 0))), True)
+    assert not verify_certificate(c4, ring)
+    bad_id = WidthResult("tw", 1, TreeDecomposition(bags, ((0, 1), (1, 2), (2, 4))), True)
+    assert not verify_certificate(c4, bad_id)
+    # the solver's own decomposition is a tree, also on a disconnected graph
+    two_triangles = graph_from_edges(6, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)])
+    res = treewidth_exact(two_triangles)
+    assert res.value == 2 and verify_certificate(two_triangles, res)
 
 
 def test_random_self_consistency_suite():
