@@ -15,12 +15,20 @@ import argparse
 import json
 import os
 import sys
+from collections import Counter
 
 from . import __version__
 from .atlas import classify, citation_statement
 from .census import census, census_to_csv
-from .containment import ABSENT, BUDGET, Embedding, has_induced_subgraph, has_minor, has_subgraph
-from .cycles import FreenessCertificate, vtype_or_etype_free
+from .containment import (
+    ABSENT,
+    BUDGET,
+    has_induced_subgraph,
+    has_minor,
+    has_subgraph,
+    verify_embedding,
+)
+from .cycles import verify_packing, vtype_or_etype_free
 from .experiments import (
     ExperimentPlan,
     experiment_csv,
@@ -94,7 +102,9 @@ def _cmd_check(args) -> int:
         if res is ABSENT:
             print(json.dumps({"result": "absent"}))
             return EXIT_OK
-        assert isinstance(res, Embedding)
+        if not verify_embedding(host, pattern, res):
+            sys.stderr.write(f"check: {args.kind} embedding failed verification\n")
+            return EXIT_CHECK_FAILED
         payload = {"result": "found", "mode": res.mode}
         if res.mode == "minor":
             payload["branch_sets"] = [sorted(b) for b in res.branch_sets]
@@ -106,19 +116,15 @@ def _cmd_check(args) -> int:
     if not args.lengths:
         sys.stderr.write("check: vfree/efree need --lengths\n")
         return EXIT_USAGE
-    lengths = []
-    for item in args.lengths.split(","):
-        if "x" in item:  # multiplicity shorthand, e.g. 12x6
-            k, _, l = item.partition("x")
-            lengths.extend([int(l)] * int(k))
-        else:
-            lengths.append(int(item))
+    lengths = list(parse_family_spec("cv:" + args.lengths).args)
     mode = "vertex" if args.kind == "vfree" else "edge"
     cert = vtype_or_etype_free(host, lengths, mode, budget)
     if cert is BUDGET:
         print(json.dumps({"result": "budget"}))
         return EXIT_BUDGET
-    assert isinstance(cert, FreenessCertificate)
+    if cert.witness is not None and not verify_packing(host, cert.witness, Counter(lengths)):
+        sys.stderr.write(f"check: {args.kind} witness failed verification\n")
+        return EXIT_CHECK_FAILED
     payload = {"result": "free" if cert.free else "contains", "lengths": list(cert.lengths)}
     if cert.witness is not None:
         payload["witness_cycles"] = [list(c) for c in cert.witness.cycles]

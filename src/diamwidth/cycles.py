@@ -13,6 +13,15 @@ blocking-set bound: an exhaustive search that proves every quota-length
 anchored cycle meets a vertex set B disjoint from the anchor shows that
 any packing has at most |B| cycles, because packed cycles consume distinct
 B vertices.  A bound below quota is an exact Absent.
+
+The anchored enumerators grow a path from the anchor and stop one vertex
+short: at ``length - 1`` path vertices the closing vertices are the
+candidates adjacent to the anchor, one mask.  Node accounting is per
+candidate vertex, as if the last level were a loop: the closing level
+adds the candidate count to ``nodes``, and when that would pass the
+budget only the lowest candidates the budget still pays for are tried,
+so a cut and the ``exhausted`` flag fall where a per-candidate loop would
+put them.
 """
 
 from __future__ import annotations
@@ -20,7 +29,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations
 
-from .graphs import Graph, bit_indices
+from .graphs import Graph
 from .containment import ABSENT, BUDGET
 
 DEFAULT_CYCLE_BUDGET = 2_000_000
@@ -32,15 +41,6 @@ class CyclePacking:
     anchor: tuple  # ("vertex", v) or ("edge", u, v)
     cycles: tuple[tuple[int, ...], ...]
     satisfied: bool
-
-
-@dataclass(frozen=True)
-class BlockingCertificate:
-    """Every quota-length cycle through the anchor meets ``blockers``."""
-
-    anchor: tuple
-    blockers: frozenset[int]
-    quota_total: int
 
 
 def cycles_through_vertex(
@@ -58,37 +58,9 @@ def cycles_through_vertex(
     Returns (cycles, exhausted) where exhausted is False iff a limit or
     budget stopped the enumeration early.
     """
-    out: list[tuple[int, ...]] = []
-    nodes = 0
-    exhausted = True
     if (avoid >> v) & 1 or length < 3:
-        return out, True
-    blocked = avoid | (1 << v)
-    path = [v]
-
-    def dfs(last: int, used: int) -> bool:
-        nonlocal nodes, exhausted
-        if len(path) == length:
-            if g.has_edge(last, v) and path[1] < path[-1]:
-                out.append(tuple(path))
-                if limit is not None and len(out) >= limit:
-                    exhausted = False
-                    return False
-            return True
-        for u in bit_indices(g.adj[last] & ~used & ~blocked):
-            nodes += 1
-            if budget is not None and nodes > budget:
-                exhausted = False
-                return False
-            path.append(u)
-            ok = dfs(u, used | (1 << u))
-            path.pop()
-            if not ok:
-                return False
-        return True
-
-    dfs(v, 1 << v)
-    return out, exhausted
+        return [], True
+    return _anchored_search(g, [v], length, avoid, True, limit, budget)
 
 
 def cycles_through_edge(
@@ -103,36 +75,70 @@ def cycles_through_edge(
     """Simple cycles of exactly ``length`` vertices traversing edge uv."""
     if not g.has_edge(u, v):
         raise ValueError(f"anchor edge ({u},{v}) not present")
+    if (avoid >> u) & 1 or (avoid >> v) & 1 or length < 3:
+        return [], True
+    return _anchored_search(g, [min(u, v), max(u, v)], length, avoid, False, limit, budget)
+
+
+def _anchored_search(g, path, length, avoid, oriented, limit, budget):
+    """DFS extending ``path`` (anchor first) by vertices outside ``avoid``
+    to cycles of ``length`` vertices.  At ``length - 1`` path vertices the
+    closing vertices are one mask; ``oriented`` keeps only those above
+    path[1], so a vertex-anchored cycle is listed in one direction."""
     out: list[tuple[int, ...]] = []
     nodes = 0
     exhausted = True
-    if (avoid >> u) & 1 or (avoid >> v) & 1:
-        return out, True
-    a, b = (u, v) if u < v else (v, u)
-    path = [a, b]
+    adj = g.adj
+    close = adj[path[0]]
+    free = ~avoid
+    closing = length - 1
 
     def dfs(last: int, used: int) -> bool:
         nonlocal nodes, exhausted
-        if len(path) == length:
-            if g.has_edge(last, a):
-                out.append(tuple(path))
+        cand = adj[last] & ~used & free
+        if len(path) == closing:
+            k = cand.bit_count()
+            if budget is not None and nodes + k > budget:
+                # the budget runs out inside this level: close only the
+                # lowest candidates it still pays for, then stop
+                exhausted = False
+                keep = 0
+                for _ in range(budget - nodes):
+                    low = cand & -cand
+                    keep |= low
+                    cand ^= low
+                cand = keep
+            nodes += k
+            hits = cand & close
+            if oriented:
+                hits &= -(2 << path[1])
+            while hits:
+                low = hits & -hits
+                out.append((*path, low.bit_length() - 1))
                 if limit is not None and len(out) >= limit:
                     exhausted = False
                     return False
-            return True
-        for w in bit_indices(g.adj[last] & ~used & ~avoid):
+                hits ^= low
+            return exhausted
+        while cand:
+            low = cand & -cand
+            cand ^= low
             nodes += 1
             if budget is not None and nodes > budget:
                 exhausted = False
                 return False
-            path.append(w)
-            ok = dfs(w, used | (1 << w))
+            u = low.bit_length() - 1
+            path.append(u)
+            ok = dfs(u, used | low)
             path.pop()
             if not ok:
                 return False
         return True
 
-    dfs(b, (1 << a) | (1 << b))
+    used = 0
+    for w in path:
+        used |= 1 << w
+    dfs(path[-1], used)
     return out, exhausted
 
 

@@ -396,9 +396,9 @@ def parse_family_spec(text: str) -> FamilySpec:
             args.append(item)  # bit pattern: keep leading zeros
         elif name == "samecyc" and pos == 1:
             args.append(item)  # variant letter
-        elif name in ("cv", "ce") and "x" in item:
-            k, _, l = item.partition("x")
-            args.extend([int(l)] * int(k))
+        elif name in ("cv", "ce"):  # cycle lengths; KxL is K cycles of length L
+            k, x, l = item.partition("x")
+            args.extend([int(l)] * int(k) if x else [int(k)])
         elif item.lstrip("-").isdigit():
             args.append(int(item))
         else:

@@ -10,7 +10,6 @@ The optional ``>>graph6<<`` header is accepted on input.
 from __future__ import annotations
 
 import json
-from typing import Mapping
 
 from .graphs import Graph, graph_from_edges
 
@@ -169,7 +168,3 @@ def read_graph(path: str, fmt: str | None = None, labels_path: str | None = None
         with open(labels_path, "r", encoding="utf-8") as fh:
             g = g.with_labels(labels_from_json(fh.read()))
     return g
-
-
-def labels_mapping(g: Graph) -> Mapping[int, str]:
-    return g.label_map

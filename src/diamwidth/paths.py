@@ -142,20 +142,27 @@ def longest_induced_path(
     best: list[int] = [0]
     nodes = 0
     overran = False
+    adj = g.adj
+    path: list[int] = []
 
-    def extend(path: list[int], used: int, blocked: int) -> None:
+    def extend(used: int, blocked: int) -> None:
         # blocked = used + neighbourhoods of all non-tail path vertices
         nonlocal nodes, overran, best
         if len(path) > len(best):
-            best = list(path)
+            best = path[:]
         tail = path[-1]
-        cand = g.adj[tail] & ~blocked & ~used
-        for u in bit_indices(cand):
+        cand = adj[tail] & ~blocked & ~used
+        blocked |= adj[tail]
+        while cand:
+            low = cand & -cand
+            cand ^= low
             nodes += 1
             if node_budget is not None and nodes > node_budget:
                 overran = True
                 return
-            extend(path + [u], used | (1 << u), blocked | g.adj[tail])
+            path.append(low.bit_length() - 1)
+            extend(used | low, blocked)
+            path.pop()
             if overran:
                 return
 
@@ -163,7 +170,9 @@ def longest_induced_path(
         range(g.n), key=lambda v: (-g.degree(v), v)
     )
     for s in starts:
-        extend([s], 1 << s, 0)
+        path.append(s)
+        extend(1 << s, 0)
+        path.pop()
         if overran:
             break
     return PathWitness(tuple(best), "induced", exact and not overran)
@@ -177,29 +186,36 @@ def find_induced_path(g: Graph, target_vertices: int, node_budget: int | None = 
     """
     nodes = 0
     overran = False
-    found: list[int] | None = None
+    adj = g.adj
+    path: list[int] = []
 
-    def extend(path: list[int], used: int, blocked: int) -> bool:
-        nonlocal nodes, overran, found
+    def extend(used: int, blocked: int) -> bool:
+        nonlocal nodes, overran
         if len(path) >= target_vertices:
-            found = list(path)
             return True
         tail = path[-1]
-        cand = g.adj[tail] & ~blocked & ~used
-        for u in bit_indices(cand):
+        cand = adj[tail] & ~blocked & ~used
+        blocked |= adj[tail]
+        while cand:
+            low = cand & -cand
+            cand ^= low
             nodes += 1
             if node_budget is not None and nodes > node_budget:
                 overran = True
                 return False
-            if extend(path + [u], used | (1 << u), blocked | g.adj[tail]):
+            path.append(low.bit_length() - 1)
+            if extend(used | low, blocked):
                 return True
+            path.pop()
             if overran:
                 return False
         return False
 
     for s in range(g.n):
-        if extend([s], 1 << s, 0):
-            return PathWitness(tuple(found), "induced", True), True
+        path.append(s)
+        if extend(1 << s, 0):
+            return PathWitness(tuple(path), "induced", True), True
+        path.pop()
         if overran:
             return None, False
     return None, True

@@ -21,6 +21,12 @@ Outcomes:
   template for some pair closes a C_{2r} against the bare path) is
   vocabulary-independent and rules out every qualifying graph.
 * BudgetExhausted: the node budget ran out first.
+
+Search cost: ``nodes`` counts one per connector choice tried, and the
+budget bounds that count only.  The C_{2r} test after each choice is a
+DFS from the new edge (a, b) that stops at 2r - 1 path vertices: the
+cycle closes iff ``adj[last] & adj[a]`` has a vertex off the path, one
+mask test instead of a last DFS level.  It counts no nodes.
 """
 
 from __future__ import annotations
@@ -28,7 +34,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 
-from .graphs import Graph, bit_indices
+from .graphs import Graph
 from .cycles import find_cycle_subgraph
 
 DEFAULT_REFUTE_BUDGET = 500_000
@@ -98,12 +104,15 @@ class _Search:
         return bool((self.adj[a] >> b) & 1)
 
     def _dist_at_most(self, a: int, b: int, d: int) -> bool:
+        adj = self.adj
         seen = 1 << a
         frontier = seen
         for _ in range(d):
             grow = 0
-            for v in bit_indices(frontier):
-                grow |= self.adj[v]
+            while frontier:
+                low = frontier & -frontier
+                grow |= adj[low.bit_length() - 1]
+                frontier ^= low
             if (grow >> b) & 1:
                 return True
             frontier = grow & ~seen
@@ -113,16 +122,22 @@ class _Search:
         return False
 
     def _closes_forbidden_cycle(self, a: int, b: int) -> bool:
-        """Any cycle of exactly 2r vertices through edge (a, b)?"""
-        target = self.cycle_len
+        """Any cycle of exactly 2r vertices through edge (a, b)?  The DFS
+        grows the path a, b, ... to 2r - 1 vertices; the cycle closes iff
+        the last vertex and a have a common neighbour off the path."""
         adj = self.adj
+        close = adj[a]
+        depth = self.cycle_len - 1
 
         def dfs(last: int, used: int, count: int) -> bool:
-            if count == target:
-                return bool((adj[last] >> a) & 1)
-            for u in bit_indices(adj[last] & ~used):
-                if dfs(u, used | (1 << u), count + 1):
+            if count == depth:
+                return bool(adj[last] & close & ~used)
+            cand = adj[last] & ~used
+            while cand:
+                low = cand & -cand
+                if dfs(low.bit_length() - 1, used | low, count + 1):
                     return True
+                cand ^= low
             return False
 
         return dfs(b, (1 << a) | (1 << b), 2)
@@ -232,6 +247,7 @@ class _Search:
             self.decisions.pop()
             return res
         choices = self._choices(i, j)
+        adj = self.adj
         start = replay[0] if replay else 0
         if start == -1:
             start = 0
@@ -242,9 +258,15 @@ class _Search:
                 self._dump_state()
                 return "budget"
             for u, v in edges:
-                self._add_edge(u, v)
+                adj[u] |= 1 << v
+                adj[v] |= 1 << u
             self.used_witnesses += fresh
-            if not any(self._closes_forbidden_cycle(u, v) for u, v in edges):
+            closes = False
+            for u, v in edges:
+                if self._closes_forbidden_cycle(u, v):
+                    closes = True
+                    break
+            if not closes:
                 self.decisions.append(ci)
                 sub_replay = replay[1:] if (replay and ci == start) else []
                 res = self._dfs(k + 1, sub_replay)
@@ -254,11 +276,13 @@ class _Search:
                 if res == "budget":
                     self.used_witnesses -= fresh
                     for u, v in edges:
-                        self._remove_edge(u, v)
+                        adj[u] &= ~(1 << v)
+                        adj[v] &= ~(1 << u)
                     return res
             self.used_witnesses -= fresh
             for u, v in edges:
-                self._remove_edge(u, v)
+                adj[u] &= ~(1 << v)
+                adj[v] &= ~(1 << u)
             if self.nodes % _STATE_DUMP_EVERY == 0:
                 self._dump_state()
         return "exhausted"

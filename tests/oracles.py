@@ -248,3 +248,76 @@ def atlas_graphs() -> list[Graph]:
         idx = {v: i for i, v in enumerate(h.nodes())}
         out.append(graph_from_edges(len(idx), [(idx[u], idx[v]) for u, v in h.edges()]))
     return out
+
+
+def reference_cycles_through_vertex(g: Graph, v: int, length: int, avoid: int = 0,
+                                    limit: int | None = None, budget: int | None = None):
+    """The plain anchored-cycle DFS: one level per cycle vertex, the last
+    level testing one adjacency bit per leaf, one node per candidate."""
+    out: list[tuple[int, ...]] = []
+    nodes = 0
+    exhausted = True
+    if (avoid >> v) & 1 or length < 3:
+        return out, True
+    blocked = avoid | (1 << v)
+    path = [v]
+
+    def dfs(last: int, used: int) -> bool:
+        nonlocal nodes, exhausted
+        if len(path) == length:
+            if g.has_edge(last, v) and path[1] < path[-1]:
+                out.append(tuple(path))
+                if limit is not None and len(out) >= limit:
+                    exhausted = False
+                    return False
+            return True
+        for u in bit_indices(g.adj[last] & ~used & ~blocked):
+            nodes += 1
+            if budget is not None and nodes > budget:
+                exhausted = False
+                return False
+            path.append(u)
+            ok = dfs(u, used | (1 << u))
+            path.pop()
+            if not ok:
+                return False
+        return True
+
+    dfs(v, 1 << v)
+    return out, exhausted
+
+
+def reference_cycles_through_edge(g: Graph, u: int, v: int, length: int, avoid: int = 0,
+                                  limit: int | None = None, budget: int | None = None):
+    """The plain DFS for cycles of ``length`` vertices traversing edge uv."""
+    out: list[tuple[int, ...]] = []
+    nodes = 0
+    exhausted = True
+    if (avoid >> u) & 1 or (avoid >> v) & 1:
+        return out, True
+    a, b = (u, v) if u < v else (v, u)
+    path = [a, b]
+
+    def dfs(last: int, used: int) -> bool:
+        nonlocal nodes, exhausted
+        if len(path) == length:
+            if g.has_edge(last, a):
+                out.append(tuple(path))
+                if limit is not None and len(out) >= limit:
+                    exhausted = False
+                    return False
+            return True
+        for w in bit_indices(g.adj[last] & ~used & ~avoid):
+            nodes += 1
+            if budget is not None and nodes > budget:
+                exhausted = False
+                return False
+            path.append(w)
+            ok = dfs(w, used | (1 << w))
+            path.pop()
+            if not ok:
+                return False
+        return True
+
+    dfs(b, (1 << a) | (1 << b))
+    return out, exhausted

@@ -188,3 +188,32 @@ def test_determinism_byte_identical(tmp_path, capsys):
     run(["construct", "gadget-ce:20,4", "--out", a], capsys)
     run(["--seed", "7", "construct", "gadget-ce:20,4", "--out", b], capsys)
     assert open(a).read() == open(b).read()
+
+
+def test_check_rejects_forged_witnesses(tmp_path, capsys, monkeypatch):
+    import diamwidth.cli
+    from diamwidth.containment import Embedding
+    from diamwidth.cycles import CyclePacking, FreenessCertificate
+
+    host = str(tmp_path / "host.g6")
+    pat = str(tmp_path / "pat.g6")
+    run(["construct", "cycle:6", "--out", host], capsys)
+    run(["construct", "path:3", "--out", pat], capsys)
+    # 0 and 3 are not adjacent on C6, so this map is no subgraph copy of P3
+    forged = Embedding("subgraph", vertex_map=(0, 3, 1))
+    monkeypatch.setattr(diamwidth.cli, "has_subgraph", lambda h, p, b: forged)
+    code, out = run(["check", "subgraph", "--host", host, "--pattern", pat], capsys)
+    assert code == 1 and out == ""
+    # one 6-cycle where the quota asks for two
+    packing = CyclePacking(("vertex", 0), ((0, 1, 2, 3, 4, 5),), True)
+    cert = FreenessCertificate(False, "vertex", (6, 6), packing)
+    monkeypatch.setattr(diamwidth.cli, "vtype_or_etype_free", lambda h, l, m, b: cert)
+    code, out = run(["check", "vfree", "--host", host, "--lengths", "2x6"], capsys)
+    assert code == 1 and out == ""
+
+
+def test_check_rejects_malformed_lengths(tmp_path, capsys):
+    host = str(tmp_path / "host.g6")
+    run(["construct", "cycle:6", "--out", host], capsys)
+    for bad in ("6,,8", "x6", "6x", "six"):
+        assert run(["check", "vfree", "--host", host, "--lengths", bad], capsys)[0] == 2

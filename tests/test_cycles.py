@@ -21,6 +21,8 @@ from diamwidth.families import (
 )
 from diamwidth.graphs import graph_from_edges, induced_subgraph
 
+from oracles import reference_cycles_through_edge, reference_cycles_through_vertex
+
 
 def test_cycle_enumeration_counts():
     cv = cycle_bouquet([6, 6], "vertex")
@@ -107,3 +109,29 @@ def test_samecyc_restricted_side_has_no_c8():
     ids = path_vertex_ids(g) + [g.find_label("y")]
     sub, _ = induced_subgraph(g, ids)
     assert find_cycle_subgraph(sub, 8, budget=None) is None
+
+
+def test_enumerators_match_reference_dfs():
+    """Same (cycles, exhausted) as the plain DFS, budget cuts included: the
+    last level is counted in one step and must cut where the loop would."""
+    rng = random.Random(2024)
+    for trial in range(60):
+        n = 5 + trial % 8
+        p = (0.3, 0.5, 0.8)[trial % 3]
+        g = graph_from_edges(
+            n, [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p]
+        )
+        edges = list(g.edges())
+        for length in range(3, 9):
+            for limit in (None, 1, 2):
+                for budget in (None, 0, 1, 2, 3, 5, 8, 13, 21, 34):
+                    avoid = rng.getrandbits(n) & rng.getrandbits(n) if trial % 2 else 0
+                    v = rng.randrange(n)
+                    assert cycles_through_vertex(g, v, length, avoid, limit, budget) == (
+                        reference_cycles_through_vertex(g, v, length, avoid, limit, budget)
+                    )
+                    if edges:
+                        a, b = edges[rng.randrange(len(edges))]
+                        assert cycles_through_edge(g, b, a, length, avoid, limit, budget) == (
+                            reference_cycles_through_edge(g, b, a, length, avoid, limit, budget)
+                        )

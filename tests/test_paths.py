@@ -80,3 +80,15 @@ def test_witness_verifier_rejects_bad_paths():
     g = cycle_graph(5)
     assert not verify_path_witness(g, PathWitness((0, 2), "plain", True))
     assert not verify_path_witness(g, PathWitness((0, 1, 2, 3, 4), "induced", True))
+
+
+def test_heuristic_induced_path_on_er7_is_pinned():
+    # 57 vertices: above the exact limit, so the 500k-node search decides
+    g = er_polarity_graph(7)
+    w = longest_induced_path(g)
+    assert not w.exact
+    assert w.vertices == (
+        0, 1, 9, 21, 33, 38, 55, 48, 24, 23, 19, 40,
+        31, 3, 44, 34, 39, 26, 52, 5, 47, 32, 53, 27,
+    )
+    assert verify_path_witness(g, w)

@@ -1,5 +1,6 @@
 import os
 
+from diamwidth.formats import to_graph6
 from diamwidth.graphs import graph_from_edges
 from diamwidth.refuter import refute_path, verify_model
 
@@ -60,3 +61,56 @@ def test_state_file_roundtrip(tmp_path):
 def test_vocabulary_is_reported():
     out = refute_path(2, 2, 6)
     assert out.vocabulary == 9
+
+
+# (r, d, L), status, nodes, witnesses_used, dead_obligation, model graph6:
+# refute_path(r, d, L, 10_000) before the last-step mask closure.
+PINNED = [
+    ((2, 2, 3), 'Consistent', 1, 1, None, 'Dhc'),
+    ((2, 2, 4), 'Consistent', 4, 2, None, 'FhEYO'),
+    ((2, 2, 5), 'Consistent', 13, 4, None, 'IhCKqYCH?'),
+    ((2, 2, 6), 'Consistent', 32, 6, None, 'LhCGKpK``GKOC_'),
+    ((2, 2, 7), 'Consistent', 38, 6, None, 'MhCGGEXRCKC_WoC_?'),
+    ((2, 2, 8), 'Consistent', 50, 7, None, 'OhCGGC@eYWOoHGWoAOA@?'),
+    ((2, 2, 9), 'Consistent', 85, 9, None, 'RhCGGC@?KrH_`cHGKW?c?OK?oO?O_?'),
+    ((2, 2, 10), 'Consistent', 148, 14, None, 'XhCGGC@?G?rKR?`eCcBE?C_@?o@__?O_@?G?GA??_O?@@???Q??'),
+    ((2, 2, 11), 'Consistent', 679, 16, None, '[hCGGC@?G?_@eWR?Or@HGWo?QCA@_@__?GO?OA?@?O?A@??AB???Q??W?_??AG??'),
+    ((2, 2, 12), 'Consistent', 7424, 18, None, '^hCGGC@?G?_@?@eXH`CK_HG@bA?c?A@_?oW?AC_C?O??P_??Q??O@??C?_??GK??_?_??OA???@C???'),
+    ((2, 2, 13), 'BudgetExhausted', 10001, 0, None, None),
+    ((2, 2, 14), 'BudgetExhausted', 10001, 0, None, None),
+    ((2, 2, 15), 'BudgetExhausted', 10001, 0, None, None),
+    ((2, 2, 16), 'BudgetExhausted', 10001, 0, None, None),
+    ((2, 2, 17), 'BudgetExhausted', 10001, 0, None, None),
+    ((2, 2, 18), 'BudgetExhausted', 10001, 0, None, None),
+    ((2, 2, 19), 'BudgetExhausted', 10001, 0, None, None),
+    ((2, 2, 20), 'BudgetExhausted', 10001, 0, None, None),
+    ((2, 2, 21), 'BudgetExhausted', 10001, 0, None, None),
+    ((2, 2, 22), 'BudgetExhausted', 10001, 0, None, None),
+    ((2, 2, 23), 'BudgetExhausted', 10001, 0, None, None),
+    ((3, 3, 3), 'Consistent', 0, 0, None, 'Ch'),
+    ((3, 3, 4), 'Consistent', 2, 1, None, 'EhDG'),
+    ((3, 3, 5), 'Consistent', 11, 3, None, 'HhCIS?D'),
+    ((3, 3, 6), 'Consistent', 14, 2, None, 'HhCGIuA'),
+    ((3, 3, 7), 'Consistent', 33, 4, None, 'KhCGGDY_`??H'),
+    ((3, 3, 8), 'Consistent', 91, 6, None, 'NhCGGC@UcCCC?IA??CG'),
+    ((3, 3, 9), 'Consistent', 212, 8, None, 'QhCGGC@?IsOQGGA??CG_??CC?P?'),
+    ((3, 3, 10), 'Consistent', 278, 9, None, 'ShCGGC@?G?jO_cGI@??@@CA??O_G???OC'),
+    ((2, 3, 3), 'Consistent', 0, 0, None, 'Ch'),
+    ((2, 3, 4), 'Consistent', 1, 1, None, 'EhEG'),
+    ((2, 3, 5), 'Consistent', 2, 1, None, 'FhCMW'),
+    ((2, 3, 6), 'Consistent', 4, 2, None, 'HhCGMWa'),
+    ((2, 3, 7), 'Consistent', 9, 3, None, 'JhCGGFKKsA?'),
+    ((2, 3, 8), 'Consistent', 10, 3, None, 'KhCGGC@rHeOG'),
+    ((2, 3, 9), 'Consistent', 14, 4, None, 'MhCGGC@?MXEW_OGC?'),
+    ((2, 3, 10), 'Consistent', 26, 5, None, 'OhCGGC@?G?xcKo_QCb?_O'),
+]
+
+
+def test_refuter_outcomes_are_pinned():
+    for (r, d, L), status, nodes, used, dead, model in PINNED:
+        out = refute_path(r, d, L, 10_000)
+        got = (out.status, out.nodes, out.witnesses_used, out.dead_obligation,
+               to_graph6(out.model) if out.model is not None else None)
+        assert got == (status, nodes, used, dead, model), (r, d, L)
+        if out.model is not None:
+            assert verify_model(out.model, r, d, L)[0], (r, d, L)
