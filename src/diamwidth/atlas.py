@@ -1,11 +1,12 @@
 """Structural recognizers for forbidden graphs and the boundedness oracle.
 
-``profile`` computes the recognizer flags a forbidden graph F can satisfy
-(clique, planarity, apex variants, spider classes, V-type/E-type parses,
-...).  ``classify`` answers "is width parameter p bounded on the class of
-F-excluded graphs of diameter at most d?" by evaluating a versioned rule
-registry (data/classification_rules.json), returning Bounded, Unbounded or
-Open with a machine-readable citation key and the fired-rule trace.  Every
+``PREDICATES`` maps each predicate name the rule registry uses to a
+recognizer of the forbidden graph F (clique, planarity, apex variants,
+spider classes, V-type/E-type parses, ...).  ``classify`` answers "is
+width parameter p bounded on the class of F-excluded graphs of diameter at
+most d?" by evaluating a versioned rule registry
+(data/classification_rules.json), returning Bounded, Unbounded or Open
+with a machine-readable citation key and the fired-rule trace.  Every
 applicable rule is evaluated, so a registry inconsistency (a query firing
 both answers) raises instead of being masked by first-match ordering.
 
@@ -20,6 +21,7 @@ import json
 import math
 from dataclasses import dataclass
 from importlib import resources
+from typing import Callable
 
 from .canon import are_isomorphic
 from .containment import ABSENT, BUDGET, has_induced_subgraph
@@ -39,6 +41,7 @@ from .graphs import (
     is_path_graph,
 )
 from .planarity import is_apex_planar, is_planar
+from .polarity import max_common_neighbors
 
 INF_DIAMETER = math.inf
 RELATIONS = ("minor", "induced", "subgraph")
@@ -119,14 +122,6 @@ def hgraph2_level(g: Graph, budget: int | None = None) -> int | None:
         if res is not ABSENT:
             return level
     return None
-
-
-def has_c4_subgraph(g: Graph) -> bool:
-    for u in range(g.n):
-        for v in range(u + 1, g.n):
-            if (g.adj[u] & g.adj[v]).bit_count() >= 2:
-                return True
-    return False
 
 
 def has_triangle(g: Graph) -> bool:
@@ -261,47 +256,50 @@ def subgraph_of_uniform_vtype(g: Graph) -> bool:
 # -- heavier supergraph checks (budgeted; None = unknown) ---------------------
 
 
+def _some(values) -> bool | None:
+    """Three-valued any: True at the first true value (later values are
+    not computed), else None if some value is None, else False."""
+    unknown = False
+    for val in values:
+        if val:
+            return True
+        unknown = unknown or val is None
+    return None if unknown else False
+
+
+def _packs_at_some_anchor(g: Graph, jobs, budget: int | None) -> bool | None:
+    """Whether ``cycle_packing`` fills some (anchor, quota) of ``jobs``,
+    tried in order; None if none does but some search ran out of budget."""
+    results = (cycle_packing(g, anchor, quota, budget) for anchor, quota in jobs)
+    return _some(
+        None if res is BUDGET else isinstance(res, CyclePacking) for res in results
+    )
+
+
 def contains_cv_12x6_12x8(g: Graph, budget: int | None) -> bool | None:
     if g.n < 145:
         return False
     parsed = parse_vtype(g)
     if parsed is not None:
-        return (
-            sum(1 for l in parsed if l == 6) >= 12
-            and sum(1 for l in parsed if l == 8) >= 12
-        )
-    for v in range(g.n):
-        res = cycle_packing(g, ("vertex", v), {6: 12, 8: 12}, budget)
-        if res is BUDGET:
-            return None
-        if isinstance(res, CyclePacking):
-            return True
-    return False
+        return parsed.count(6) >= 12 and parsed.count(8) >= 12
+    quota = {6: 12, 8: 12}
+    return _packs_at_some_anchor(g, ((("vertex", v), quota) for v in range(g.n)), budget)
 
 
 def contains_ce_uniform(g: Graph, budget: int | None) -> bool | None:
     if cyclomatic_number(g) < 6:
         return False
-    parsed = parse_etype(g)
-    unknown = False
+    # C^E_{k*[2l]} with k = 2(2l-3), for each l >= 3 that fits in g
+    quotas = []
     l = 3
-    while True:
-        k = 2 * (2 * l - 3)
-        size = 2 + k * (2 * l - 2)
-        if size > g.n:
-            break
-        if parsed is not None:
-            if sum(1 for x in parsed if x == 2 * l) >= k:
-                return True
-        else:
-            for u, v in g.edges():
-                res = cycle_packing(g, ("edge", u, v), {2 * l: k}, budget)
-                if res is BUDGET:
-                    unknown = True
-                elif isinstance(res, CyclePacking):
-                    return True
+    while 2 + 2 * (2 * l - 3) * (2 * l - 2) <= g.n:
+        quotas.append((2 * l, 2 * (2 * l - 3)))
         l += 1
-    return None if unknown else False
+    parsed = parse_etype(g)
+    if parsed is not None:
+        return any(parsed.count(length) >= k for length, k in quotas)
+    jobs = ((("edge", u, v), {length: k}) for length, k in quotas for u, v in g.edges())
+    return _packs_at_some_anchor(g, jobs, budget)
 
 
 def contains_samecyc_pair(g: Graph, budget: int | None) -> bool | None:
@@ -316,75 +314,71 @@ def contains_samecyc_pair(g: Graph, budget: int | None) -> bool | None:
                 break
             if (l1 % 4 == 0 and l2 % 4 == 0) or l1 == l2:
                 pairs.append((l1, l2))
-    unknown = False
-    for l1, l2 in pairs:
-        quota = {l1: 2} if l1 == l2 else {l1: 1, l2: 1}
-        if l1 + l2 - 1 <= g.n:
-            for v in range(g.n):
-                res = cycle_packing(g, ("vertex", v), quota, budget)
-                if res is BUDGET:
-                    unknown = True
-                elif isinstance(res, CyclePacking):
-                    return True
-        for u, v in g.edges():
-            res = cycle_packing(g, ("edge", u, v), quota, budget)
-            if res is BUDGET:
-                unknown = True
-            elif isinstance(res, CyclePacking):
-                return True
-    return None if unknown else False
+
+    def jobs():
+        for l1, l2 in pairs:
+            quota = {l1: 2} if l1 == l2 else {l1: 1, l2: 1}
+            if l1 + l2 - 1 <= g.n:
+                for v in range(g.n):
+                    yield ("vertex", v), quota
+            for u, v in g.edges():
+                yield ("edge", u, v), quota
+
+    return _packs_at_some_anchor(g, jobs(), budget)
 
 
-# -- the profile --------------------------------------------------------------
+# -- the predicate table ------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class StructureProfile:
-    n: int
-    components: int
-    is_clique: bool
-    induced_subgraph_of_p2: bool
-    induced_subgraph_of_p4: bool
-    is_planar: bool
-    is_apex_planar: bool
-    is_forest: bool
-    is_apex_forest: bool
-    is_linear_forest: bool
-    is_apex_linear_forest: bool
-    in_script_s: bool
-    subgraph_of_subdivided_star: bool
-    hgraph2_level: int | None
-    is_bipartite: bool
-    contains_c4_subgraph: bool
-    cycle_count: int
-    unicyclic: bool
-    vtype_lengths: tuple[int, ...] | None
-    etype_lengths: tuple[int, ...] | None
-
-
-def profile(g: Graph) -> StructureProfile:
-    return StructureProfile(
-        n=g.n,
-        components=len(component_masks(g)),
-        is_clique=is_clique(g),
-        induced_subgraph_of_p2=induced_subgraph_of_p2(g),
-        induced_subgraph_of_p4=induced_subgraph_of_p4(g),
-        is_planar=is_planar(g),
-        is_apex_planar=is_apex_planar(g),
-        is_forest=is_forest(g),
-        is_apex_forest=is_apex_forest(g),
-        is_linear_forest=is_linear_forest(g),
-        is_apex_linear_forest=is_apex_linear_forest(g),
-        in_script_s=in_script_s(g),
-        subgraph_of_subdivided_star=subgraph_of_subdivided_star(g),
-        hgraph2_level=hgraph2_level(g),
-        is_bipartite=is_bipartite(g),
-        contains_c4_subgraph=has_c4_subgraph(g),
-        cycle_count=cyclomatic_number(g),
-        unicyclic=cyclomatic_number(g) == 1,
-        vtype_lengths=parse_vtype(g),
-        etype_lengths=parse_etype(g),
+def _even6_pair(lengths: tuple[int, ...] | None) -> bool:
+    return (
+        lengths is not None
+        and len(lengths) == 2
+        and all(l % 2 == 0 and l >= 6 for l in lengths)
     )
+
+
+def _has_c6(g: Graph, budget: int | None) -> bool | None:
+    hit = find_cycle_subgraph(g, 6, budget)
+    return None if hit is BUDGET else hit is not None
+
+
+# Every registry predicate name, mapped to (graph, budget) -> True, False or
+# None (a budget-limited search left it undecided).  The registry may prefix
+# a name with "!" (negation) or "any_" (some graph of a minor set).  Entries
+# call recognizers through this module's globals so wrappers installed on
+# them (e.g. by a tracer) see every call.
+PREDICATES: dict[str, Callable[[Graph, int | None], bool | None]] = {
+    "clique": lambda g, b: is_clique(g),
+    "in_p2": lambda g, b: induced_subgraph_of_p2(g),
+    "in_p4": lambda g, b: induced_subgraph_of_p4(g),
+    "bipartite": lambda g, b: is_bipartite(g),
+    "planar": lambda g, b: is_planar(g),
+    "apex_planar": lambda g, b: is_apex_planar(g),
+    "forest": lambda g, b: is_forest(g),
+    "apex_forest": lambda g, b: is_apex_forest(g),
+    "linear_forest": lambda g, b: is_linear_forest(g),
+    "apex_linear_forest": lambda g, b: is_apex_linear_forest(g),
+    "script_s": lambda g, b: in_script_s(g),
+    "sstar_subgraph": lambda g, b: subgraph_of_subdivided_star(g),
+    "hgraph2_subgraph": lambda g, b: hgraph2_level(g, b) is not None,
+    "unicyclic": lambda g, b: cyclomatic_number(g) == 1,
+    "c3_subgraph": lambda g, b: has_triangle(g),
+    "c4_subgraph": lambda g, b: max_common_neighbors(g) >= 2,
+    "c6_subgraph": lambda g, b: _has_c6(g, b),
+    "is_c8": lambda g, b: is_cycle_graph_of(g, 8) is not None,
+    "even_cycle_10_to_24": lambda g, b: is_cycle_graph_of(g) in range(10, 25, 2),
+    "odd_cycle_ge5": lambda g, b: (
+        is_cycle_graph_of(g) is not None and g.n % 2 == 1 and g.n >= 5
+    ),
+    "is_h3": lambda g, b: g.n == 8 and g.m == 7 and are_isomorphic(g, h_graph(3, 1)),
+    "vtype_pair_even6": lambda g, b: _even6_pair(parse_vtype(g)),
+    "etype_pair_even6": lambda g, b: _even6_pair(parse_etype(g)),
+    "vtype_uniform_subgraph": lambda g, b: subgraph_of_uniform_vtype(g),
+    "contains_cv_12x6_12x8": lambda g, b: contains_cv_12x6_12x8(g, b),
+    "contains_ce_uniform": lambda g, b: contains_ce_uniform(g, b),
+    "contains_samecyc_pair": lambda g, b: contains_samecyc_pair(g, b),
+}
 
 
 def reduce_components(g: Graph) -> Graph:
@@ -422,10 +416,19 @@ class RegistryConsistencyError(RuntimeError):
 
 
 def load_registry() -> dict:
+    """The packaged rule registry; raises if a rule names a predicate
+    missing from PREDICATES."""
     payload = resources.files("diamwidth.data").joinpath(
         "classification_rules.json"
     ).read_text(encoding="utf-8")
-    return json.loads(payload)
+    registry = json.loads(payload)
+    for rule in registry["rules"]:
+        for name in rule["requires"]:
+            if name.removeprefix("!").removeprefix("any_") not in PREDICATES:
+                raise RegistryConsistencyError(
+                    f"rule {rule['id']!r} names unknown predicate {name!r}"
+                )
+    return registry
 
 
 _REGISTRY_CACHE: dict | None = None
@@ -440,11 +443,11 @@ def _registry() -> dict:
 
 class _PredicateContext:
     """Lazy, memoized predicate evaluation for one query; tri-state
-    (True / False / None for budget-limited containment checks)."""
+    (True / False / None for budget-limited containment checks).  A name
+    reads the first graph, an ``any_`` name every graph of the set."""
 
     def __init__(self, graphs: list[Graph], budget: int | None):
         self.graphs = graphs
-        self.g = graphs[0]
         self.budget = budget
         self.cache: dict[str, bool | None] = {}
 
@@ -452,90 +455,15 @@ class _PredicateContext:
         negate = name.startswith("!")
         base = name[1:] if negate else name
         if base not in self.cache:
-            self.cache[base] = self._compute(base)
+            if base.startswith("any_"):
+                pred = PREDICATES[base[4:]]
+                self.cache[base] = _some(pred(h, self.budget) for h in self.graphs)
+            else:
+                self.cache[base] = PREDICATES[base](self.graphs[0], self.budget)
         val = self.cache[base]
         if val is None:
             return None
         return (not val) if negate else val
-
-    def _compute(self, name: str) -> bool | None:
-        g = self.g
-        if name == "clique":
-            return is_clique(g)
-        if name == "in_p2":
-            return induced_subgraph_of_p2(g)
-        if name == "in_p4":
-            return induced_subgraph_of_p4(g)
-        if name == "bipartite":
-            return is_bipartite(g)
-        if name == "forest":
-            return is_forest(g)
-        if name == "linear_forest":
-            return is_linear_forest(g)
-        if name == "apex_linear_forest":
-            return is_apex_linear_forest(g)
-        if name == "script_s":
-            return in_script_s(g)
-        if name == "sstar_subgraph":
-            return subgraph_of_subdivided_star(g)
-        if name == "hgraph2_subgraph":
-            return hgraph2_level(g, self.budget) is not None
-        if name == "unicyclic":
-            return cyclomatic_number(g) == 1
-        if name == "c4_subgraph":
-            return has_c4_subgraph(g)
-        if name == "c3_subgraph":
-            return has_triangle(g)
-        if name == "c6_subgraph":
-            hit = find_cycle_subgraph(g, 6, self.budget)
-            if hit is BUDGET:
-                return None
-            return hit is not None
-        if name == "is_c8":
-            return is_cycle_graph_of(g, 8) is not None
-        if name == "even_cycle_10_to_24":
-            k = is_cycle_graph_of(g)
-            return k is not None and k % 2 == 0 and 10 <= k <= 24
-        if name == "odd_cycle_ge5":
-            k = is_cycle_graph_of(g)
-            return k is not None and k % 2 == 1 and k >= 5
-        if name == "is_h3":
-            return g.n == 8 and g.m == 7 and are_isomorphic(g, h_graph(3, 1))
-        if name == "vtype_pair_even6":
-            lengths = parse_vtype(g)
-            return (
-                lengths is not None
-                and len(lengths) == 2
-                and all(l % 2 == 0 and l >= 6 for l in lengths)
-            )
-        if name == "etype_pair_even6":
-            lengths = parse_etype(g)
-            return (
-                lengths is not None
-                and len(lengths) == 2
-                and all(l % 2 == 0 and l >= 6 for l in lengths)
-            )
-        if name == "vtype_uniform_subgraph":
-            return subgraph_of_uniform_vtype(g)
-        if name == "contains_cv_12x6_12x8":
-            return contains_cv_12x6_12x8(g, self.budget)
-        if name == "contains_ce_uniform":
-            return contains_ce_uniform(g, self.budget)
-        if name == "contains_samecyc_pair":
-            return contains_samecyc_pair(g, self.budget)
-        if name == "any_apex_planar":
-            return any(is_apex_planar(h) for h in self.graphs)
-        if name == "any_apex_forest":
-            return any(is_apex_forest(h) for h in self.graphs)
-        if name == "any_apex_linear_forest":
-            return any(is_apex_linear_forest(h) for h in self.graphs)
-        if name == "any_planar":
-            return any(is_planar(h) for h in self.graphs)
-        if name == "any_forest":
-            return any(is_forest(h) for h in self.graphs)
-        if name == "any_linear_forest":
-            return any(is_linear_forest(h) for h in self.graphs)
-        raise KeyError(f"unknown predicate {name!r}")
 
 
 def _rule_applies(rule: dict, relation: str, parameter: str, d) -> bool:

@@ -19,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .canon import canonical_code
-from .containment import ABSENT, BUDGET, has_induced_subgraph, has_minor, has_subgraph
+from .containment import ABSENT, has_induced_subgraph, has_minor, has_subgraph
 from .formats import to_graph6
 from .graphs import INFINITE, Graph, diameter, graph_from_edges
 from .width import treedepth_exact, pathwidth_exact, treewidth_exact
@@ -119,11 +119,8 @@ _SOLVERS = {
 }
 
 
-def is_pattern_free(g: Graph, forbidden: Graph, relation: str, budget=None) -> bool:
-    res = _CHECKERS[relation](g, forbidden, budget)
-    if res is BUDGET:
-        raise RuntimeError("budget exhausted during census freeness check")
-    return res is ABSENT
+def is_pattern_free(g: Graph, forbidden: Graph, relation: str) -> bool:
+    return _CHECKERS[relation](g, forbidden, None) is ABSENT
 
 
 def census(

@@ -2,11 +2,8 @@
 
 Subcommands: construct, check, width, classify, census, refute,
 experiment, verify-theorem, convert.  Exit codes: 0 success, 1 check
-failure, 2 usage error, 3 budget exhausted.  All commands are
-deterministic; --seed and --deterministic are accepted for interface
-stability (nothing here draws randomness), and --jobs bounds worker
-parallelism (the solvers currently run single-threaded, which satisfies
-any bound).
+failure, 2 usage error, 3 budget exhausted.  Every command is
+deterministic and single-threaded.
 """
 
 from __future__ import annotations
@@ -279,9 +276,6 @@ def build_parser() -> argparse.ArgumentParser:
         "constructions, exact solvers, classification oracle.",
     )
     p.add_argument("--version", action="version", version=__version__)
-    p.add_argument("--seed", type=int, default=0, help="reserved; runs are deterministic")
-    p.add_argument("--deterministic", action="store_true", help="reserved; always on")
-    p.add_argument("--jobs", type=int, default=1, help="parallelism bound for solvers")
     sub = p.add_subparsers(dest="command", required=True)
 
     c = sub.add_parser("construct", help="emit a named family or gadget")

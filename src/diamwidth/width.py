@@ -10,7 +10,7 @@ silent heuristic value.
 
 * treedepth: memoized recursion over connected vertex subsets,
   td(G) = 1 + min_v td(G - v) on connected G, max over components
-  otherwise; the memo is LRU-bounded.
+  otherwise.
 * pathwidth: subset DP over vertex orderings; the cost of a prefix S is
   the number of its vertices with a neighbour outside S.
 * treewidth: subset DP over elimination orderings; eliminating v last
@@ -21,7 +21,6 @@ silent heuristic value.
 from __future__ import annotations
 
 import math
-from collections import OrderedDict
 from dataclasses import dataclass
 
 from .graphs import Graph, bit_indices, component_masks
@@ -30,7 +29,6 @@ from .paths import PathWitness, longest_path
 TD_LIMIT = 24
 PW_LIMIT = 20
 TW_LIMIT = 16
-_MEMO_CAP = 2_000_000
 
 
 class SizeLimitError(ValueError):
@@ -91,7 +89,7 @@ def treedepth_exact(g: Graph, limit: int = TD_LIMIT) -> WidthResult:
     if g.n > limit:
         lo, hi = treedepth_bounds(g)
         return WidthResult("td", None, None, False, (lo, hi))
-    memo: OrderedDict[int, tuple[int, int]] = OrderedDict()  # mask -> (td, root)
+    memo: dict[int, tuple[int, int]] = {}  # mask -> (td, root)
     adj = g.adj
 
     def solve(mask: int) -> int:
@@ -102,7 +100,6 @@ def treedepth_exact(g: Graph, limit: int = TD_LIMIT) -> WidthResult:
             return 2  # connected two-vertex set
         hit = memo.get(mask)
         if hit is not None:
-            memo.move_to_end(mask)
             return hit[0]
         best = k
         best_root = (mask & -mask).bit_length() - 1
@@ -116,8 +113,6 @@ def treedepth_exact(g: Graph, limit: int = TD_LIMIT) -> WidthResult:
                 if best == 2:
                     break  # a connected set with >= 2 vertices never beats 2
         memo[mask] = (best, best_root)
-        if len(memo) > _MEMO_CAP:
-            memo.popitem(last=False)
         return best
 
     def rebuild(mask: int, parent: int, parents: list[int]) -> None:

@@ -1,8 +1,15 @@
+import hashlib
+import json
 import math
 
 import pytest
 
+from diamwidth import atlas
 from diamwidth.atlas import (
+    PARAMETERS,
+    PREDICATES,
+    RELATIONS,
+    RegistryConsistencyError,
     classify,
     citation_statement,
     hgraph2_level,
@@ -10,7 +17,6 @@ from diamwidth.atlas import (
     load_registry,
     parse_etype,
     parse_vtype,
-    profile,
     reduce_components,
     subgraph_of_subdivided_star,
     subgraph_of_uniform_vtype,
@@ -26,23 +32,36 @@ from diamwidth.families import (
     patterned_apex_path,
     spider,
 )
-from diamwidth.census import enumerate_connected_graphs
+from diamwidth.census import enumerate_all_graphs, enumerate_connected_graphs
 from diamwidth.graphs import disjoint_union
 
 INF = math.inf
 
 
-def test_profile_examples():
-    p = profile(cycle_graph(6))
-    assert p.is_bipartite and p.unicyclic and not p.contains_c4_subgraph
-    assert p.is_apex_linear_forest
-    p = profile(spider([2, 2, 2]))
-    assert p.subgraph_of_subdivided_star and p.in_script_s
-    p = profile(h_graph(2, 3))
-    assert not p.subgraph_of_subdivided_star
-    assert p.hgraph2_level == 3
-    assert profile(complete_graph(4)).is_clique
-    assert profile(path_graph(2)).induced_subgraph_of_p2
+def holds(name, g):
+    return PREDICATES[name](g, None)
+
+
+def test_predicate_examples():
+    c6 = cycle_graph(6)
+    assert holds("bipartite", c6) and holds("unicyclic", c6)
+    assert not holds("c4_subgraph", c6)
+    assert holds("c4_subgraph", complete_graph(4))
+    assert holds("apex_linear_forest", c6)
+    claw = spider([2, 2, 2])
+    assert holds("sstar_subgraph", claw) and holds("script_s", claw)
+    assert not holds("sstar_subgraph", h_graph(2, 3))
+    assert hgraph2_level(h_graph(2, 3)) == 3
+    assert holds("clique", complete_graph(4))
+    assert holds("in_p2", path_graph(2))
+    lengths = (8, 10, 11, 24, 26)
+    assert [holds("even_cycle_10_to_24", cycle_graph(k)) for k in lengths] == [
+        False, True, False, True, False
+    ]
+    lengths = (3, 5, 6, 7)
+    assert [holds("odd_cycle_ge5", cycle_graph(k)) for k in lengths] == [
+        False, True, False, True
+    ]
 
 
 def test_vtype_etype_parses():
@@ -90,18 +109,17 @@ def test_script_s_and_sstar():
     assert not subgraph_of_subdivided_star(two_claws)
 
 
-def test_profile_flags_agree_with_containment_definitions():
+def test_predicates_agree_with_containment_definitions():
     # apex linear forest iff subgraph of a long dominated path; spider-class
     # membership iff subgraph of a universal subdivided star
     for level in enumerate_connected_graphs(6)[1:]:
         for g in level:
             host = apex_path(2 * g.n)
             via_containment = has_subgraph(host, g, budget=None) is not ABSENT
-            p = profile(g)
-            assert p.is_apex_linear_forest == via_containment
+            assert holds("apex_linear_forest", g) == via_containment
             star_host = spider([g.n] * g.n)
             in_star = has_subgraph(star_host, g, budget=None) is not ABSENT
-            assert p.subgraph_of_subdivided_star == in_star
+            assert holds("sstar_subgraph", g) == in_star
     # spot the same agreement on 7-vertex graphs
     import random as _random
 
@@ -110,7 +128,7 @@ def test_profile_flags_agree_with_containment_definitions():
     for g in rng.sample(level7, 40):
         host = apex_path(2 * g.n)
         via_containment = has_subgraph(host, g, budget=None) is not ABSENT
-        assert profile(g).is_apex_linear_forest == via_containment
+        assert holds("apex_linear_forest", g) == via_containment
 
 
 def test_reduce_components():
@@ -169,3 +187,48 @@ def test_open_verdict_carries_nearest_facts():
     v = classify(cycle_bouquet([6, 6, 8], "vertex"), "subgraph", "td", 2)
     assert v.answer == "Open"
     assert "unbounded holds for d >= 3" in v.note
+
+
+def test_classify_digest_over_small_graphs():
+    # every graph on 1-6 vertices x relation x parameter x d: a change to a
+    # predicate or to rule evaluation that alters any verdict shows here
+    digest = hashlib.sha256()
+    for level in enumerate_all_graphs(6):
+        for g in level:
+            for relation in RELATIONS:
+                forbidden = [g] if relation == "minor" else g
+                for parameter in PARAMETERS:
+                    for d in (1, 2, 3, 4, 5, 6, INF):
+                        verdict = classify(forbidden, relation, parameter, d)
+                        digest.update(repr(verdict).encode() + b"\n")
+    assert digest.hexdigest() == (
+        "268bdf953d899deb81e1bc82ff0de8d6b1f58da0e41e1af6e82eab3fbf33f47d"
+    )
+
+
+def test_registry_predicates_resolve():
+    names = {req for rule in load_registry()["rules"] for req in rule["requires"]}
+    for name in names:
+        assert name.removeprefix("!").removeprefix("any_") in PREDICATES, name
+
+
+def test_misspelled_predicate_raises_on_load(tmp_path, monkeypatch):
+    reg = load_registry()
+    reg["rules"][0]["requires"].append("!any_planr")
+    (tmp_path / "classification_rules.json").write_text(json.dumps(reg))
+    monkeypatch.setattr(atlas.resources, "files", lambda package: tmp_path)
+    with pytest.raises(RegistryConsistencyError, match="planr"):
+        load_registry()
+
+
+def test_any_prefix_is_three_valued(monkeypatch):
+    # any_X: True if some graph gives True, None if none does but some is
+    # undecided, False otherwise; a plain name reads the first graph only
+    by_order = {1: False, 2: None, 3: True}
+    monkeypatch.setitem(PREDICATES, "planar", lambda g, b: by_order[g.n])
+    p1, p2, p3 = path_graph(1), path_graph(2), path_graph(3)
+    for graphs, want in (([p1], False), ([p1, p2], None), ([p2, p3, p1], True)):
+        assert atlas._PredicateContext(graphs, None).eval("any_planar") is want
+        negated = None if want is None else not want
+        assert atlas._PredicateContext(graphs, None).eval("!any_planar") is negated
+    assert atlas._PredicateContext([p1, p3], None).eval("planar") is False

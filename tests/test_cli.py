@@ -186,8 +186,14 @@ def test_experiment_cli(tmp_path, capsys):
 def test_determinism_byte_identical(tmp_path, capsys):
     a, b = str(tmp_path / "a.g6"), str(tmp_path / "b.g6")
     run(["construct", "gadget-ce:20,4", "--out", a], capsys)
-    run(["--seed", "7", "construct", "gadget-ce:20,4", "--out", b], capsys)
+    run(["construct", "gadget-ce:20,4", "--out", b], capsys)
     assert open(a).read() == open(b).read()
+
+
+def test_removed_global_flags_are_usage_errors(capsys):
+    for flags in (["--seed", "7"], ["--deterministic"], ["--jobs", "2"]):
+        code, _ = run([*flags, "construct", "cycle:4"], capsys)
+        assert code == 2, flags
 
 
 def test_check_rejects_forged_witnesses(tmp_path, capsys, monkeypatch):
