@@ -25,7 +25,7 @@ from typing import Callable
 
 from .canon import are_isomorphic
 from .containment import ABSENT, BUDGET, has_induced_subgraph
-from .cycles import CyclePacking, cycle_packing, find_cycle_subgraph
+from .cycles import cycle_packing, find_cycle_subgraph
 from .families import h_graph, path_graph
 from .graphs import (
     Graph,
@@ -105,8 +105,9 @@ def subgraph_of_subdivided_star(g: Graph) -> bool:
     return is_forest(g) and sum(1 for d in g.degrees if d >= 3) <= 1
 
 
-def hgraph2_level(g: Graph, budget: int | None = None) -> int | None:
-    """Minimum l with g a subgraph of the spine-2 H-graph at level l."""
+def hgraph2_level(g: Graph, budget: int | None = None):
+    """Minimum l with g a subgraph of the spine-2 H-graph at level l, None
+    if there is none, or BUDGET if a level's search ran out first."""
     if g.n == 0 or not is_forest(g):
         return None
     degs = g.degrees
@@ -118,7 +119,7 @@ def hgraph2_level(g: Graph, budget: int | None = None) -> int | None:
         host = h_graph(2, level)
         res = has_subgraph(host, g, budget)
         if res is BUDGET:
-            return None
+            return BUDGET
         if res is not ABSENT:
             return level
     return None
@@ -267,13 +268,16 @@ def _some(values) -> bool | None:
     return None if unknown else False
 
 
+def _found(res, absent=ABSENT) -> bool | None:
+    """The predicate value of a budgeted search result: None if it ran out
+    of budget, else whether it found something other than ``absent``."""
+    return None if res is BUDGET else res is not absent
+
+
 def _packs_at_some_anchor(g: Graph, jobs, budget: int | None) -> bool | None:
     """Whether ``cycle_packing`` fills some (anchor, quota) of ``jobs``,
     tried in order; None if none does but some search ran out of budget."""
-    results = (cycle_packing(g, anchor, quota, budget) for anchor, quota in jobs)
-    return _some(
-        None if res is BUDGET else isinstance(res, CyclePacking) for res in results
-    )
+    return _some(_found(cycle_packing(g, anchor, quota, budget)) for anchor, quota in jobs)
 
 
 def contains_cv_12x6_12x8(g: Graph, budget: int | None) -> bool | None:
@@ -338,11 +342,6 @@ def _even6_pair(lengths: tuple[int, ...] | None) -> bool:
     )
 
 
-def _has_c6(g: Graph, budget: int | None) -> bool | None:
-    hit = find_cycle_subgraph(g, 6, budget)
-    return None if hit is BUDGET else hit is not None
-
-
 # Every registry predicate name, mapped to (graph, budget) -> True, False or
 # None (a budget-limited search left it undecided).  The registry may prefix
 # a name with "!" (negation) or "any_" (some graph of a minor set).  Entries
@@ -361,11 +360,11 @@ PREDICATES: dict[str, Callable[[Graph, int | None], bool | None]] = {
     "apex_linear_forest": lambda g, b: is_apex_linear_forest(g),
     "script_s": lambda g, b: in_script_s(g),
     "sstar_subgraph": lambda g, b: subgraph_of_subdivided_star(g),
-    "hgraph2_subgraph": lambda g, b: hgraph2_level(g, b) is not None,
+    "hgraph2_subgraph": lambda g, b: _found(hgraph2_level(g, b), None),
     "unicyclic": lambda g, b: cyclomatic_number(g) == 1,
     "c3_subgraph": lambda g, b: has_triangle(g),
     "c4_subgraph": lambda g, b: max_common_neighbors(g) >= 2,
-    "c6_subgraph": lambda g, b: _has_c6(g, b),
+    "c6_subgraph": lambda g, b: _found(find_cycle_subgraph(g, 6, b)),
     "is_c8": lambda g, b: is_cycle_graph_of(g, 8) is not None,
     "even_cycle_10_to_24": lambda g, b: is_cycle_graph_of(g) in range(10, 25, 2),
     "odd_cycle_ge5": lambda g, b: (

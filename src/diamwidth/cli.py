@@ -15,11 +15,12 @@ import sys
 from collections import Counter
 
 from . import __version__
-from .atlas import classify, citation_statement
+from .atlas import DEFAULT_CLASSIFY_BUDGET, classify, citation_statement
 from .census import census, census_to_csv
 from .containment import (
     ABSENT,
     BUDGET,
+    DEFAULT_BUDGET,
     has_induced_subgraph,
     has_minor,
     has_subgraph,
@@ -56,7 +57,7 @@ BUDGET_ENV = "DIAMWIDTH_BUDGET"
 
 def _default_budget() -> int:
     raw = os.environ.get(BUDGET_ENV, "")
-    return int(raw) if raw.isdigit() else 2_000_000
+    return int(raw) if raw.isdigit() else DEFAULT_BUDGET
 
 
 def _load(path: str, fmt: str | None, labels: str | None = None):
@@ -149,13 +150,9 @@ def _certificate_payload(result) -> dict:
 
 def _cmd_width(args) -> int:
     g = _load(args.infile, args.format)
+    solve = {"td": treedepth_exact, "pw": pathwidth_exact, "tw": treewidth_exact}[args.parameter]
     try:
-        if args.parameter == "td":
-            result = treedepth_exact(g, args.limit or 24)
-        elif args.parameter == "pw":
-            result = pathwidth_exact(g, args.limit or 20)
-        else:
-            result = treewidth_exact(g, args.limit or 16)
+        result = solve(g)
     except SizeLimitError as exc:
         sys.stderr.write(f"width: {exc}\n")
         return EXIT_USAGE
@@ -302,7 +299,6 @@ def build_parser() -> argparse.ArgumentParser:
     w.add_argument("--in", dest="infile", required=True)
     w.add_argument("--format", choices=["graph6", "edgelist"])
     w.add_argument("--certificate", help="write the certificate JSON here")
-    w.add_argument("--limit", type=int)
     w.set_defaults(fn=_cmd_width)
 
     cl = sub.add_parser("classify", help="boundedness verdict with citation")
@@ -311,7 +307,7 @@ def build_parser() -> argparse.ArgumentParser:
     cl.add_argument("--relation", choices=["minor", "induced", "subgraph"], required=True)
     cl.add_argument("--parameter", choices=["td", "pw", "tw", "cw"], required=True)
     cl.add_argument("--diameter", required=True, help="integer >= 1 or 'inf'")
-    cl.add_argument("--budget", type=int, default=400_000)
+    cl.add_argument("--budget", type=int, default=DEFAULT_CLASSIFY_BUDGET)
     cl.add_argument("--json", action="store_true")
     cl.set_defaults(fn=_cmd_classify)
 

@@ -1,8 +1,7 @@
 """Exact pattern containment: subgraph, induced subgraph, minor.
 
-All searches are three-valued: an ``Embedding`` when found, ``ABSENT``
-only after exhaustive search, ``BUDGET`` when the node budget ran out.
-Budget results are never silently coerced to absence.
+Every search keeps the budget contract of ``graphs``: an ``Embedding``
+when found, ``ABSENT`` only after exhaustive search, else ``BUDGET``.
 
 The subgraph matcher is a backtracking search over candidate bitmasks with
 degree and adjacency-consistency pruning; pattern vertices are ordered by
@@ -14,22 +13,16 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .graphs import Graph, bit_indices, component_masks
+from .graphs import (
+    ABSENT,
+    BUDGET,
+    DEFAULT_BUDGET,
+    BudgetExhausted,
+    Graph,
+    bit_indices,
+    component_masks,
+)
 from .paths import PathWitness, find_induced_path
-
-
-class _Marker:
-    def __init__(self, name: str):
-        self._name = name
-
-    def __repr__(self) -> str:
-        return self._name
-
-
-ABSENT = _Marker("ABSENT")
-BUDGET = _Marker("BUDGET")
-
-DEFAULT_BUDGET = 2_000_000
 
 
 @dataclass(frozen=True)
@@ -202,10 +195,11 @@ def has_minor(host: Graph, pattern: Graph, budget: int | None = DEFAULT_BUDGET):
     assign = [-1] * host.n  # host vertex -> position in order, or -1
     sets: list[set[int]] = [set() for _ in range(pattern.n)]
 
-    def over() -> bool:
+    def tick() -> None:
         nonlocal nodes
         nodes += 1
-        return budget is not None and nodes > budget
+        if budget is not None and nodes > budget:
+            raise BudgetExhausted
 
     # The search keeps every alternative alive through continuations:
     # satisfy(..., cont) succeeds only if some connector makes cont()
@@ -215,7 +209,7 @@ def has_minor(host: Graph, pattern: Graph, budget: int | None = DEFAULT_BUDGET):
     # lets earlier branch sets keep growing (e.g. the spoke contractions
     # of a Petersen K_5 model).
 
-    def place(k: int):
+    def place(k: int) -> bool:
         if k == pattern.n:
             return True
         p = order[k]
@@ -223,21 +217,17 @@ def has_minor(host: Graph, pattern: Graph, budget: int | None = DEFAULT_BUDGET):
         for seed in range(host.n):
             if assign[seed] != -1:
                 continue
-            if over():
-                return "budget"
+            tick()
             assign[seed] = k
             sets[k] = {seed}
-            res = satisfy(k, needed, 0, lambda: place(k + 1))
-            if res is True:
+            if satisfy(k, needed, 0, lambda: place(k + 1)):
                 return True
             for v in list(sets[k]):
                 assign[v] = -1
             sets[k] = set()
-            if res == "budget":
-                return "budget"
         return False
 
-    def satisfy(k: int, needed: list[int], idx: int, cont):
+    def satisfy(k: int, needed: list[int], idx: int, cont) -> bool:
         if idx == len(needed):
             return cont()
         k2 = needed[idx]
@@ -248,15 +238,14 @@ def has_minor(host: Graph, pattern: Graph, budget: int | None = DEFAULT_BUDGET):
         )
         return extend(k, k2, needed, idx, [], starts, cont)
 
-    def apply_split(k, k2, needed, idx, path, s, cont):
+    def apply_split(k, k2, needed, idx, path, s, cont) -> bool:
         for v in path[:s]:
             assign[v] = k
             sets[k].add(v)
         for v in path[s:]:
             assign[v] = k2
             sets[k2].add(v)
-        res = satisfy(k, needed, idx + 1, cont)
-        if res is True:
+        if satisfy(k, needed, idx + 1, cont):
             return True
         for v in path[:s]:
             sets[k].discard(v)
@@ -264,53 +253,41 @@ def has_minor(host: Graph, pattern: Graph, budget: int | None = DEFAULT_BUDGET):
         for v in path[s:]:
             sets[k2].discard(v)
             assign[v] = -1
-        return res
+        return False
 
-    def extend(k, k2, needed, idx, path, frontier, cont):
+    def extend(k, k2, needed, idx, path, frontier, cont) -> bool:
         for v in frontier:
             if assign[v] != -1 or v in path:
                 continue
-            if over():
-                return "budget"
+            tick()
             path.append(v)
             if any(host.has_edge(v, b) for b in sets[k2]):
                 for s in range(len(path) + 1):
-                    res = apply_split(k, k2, needed, idx, path, s, cont)
-                    if res is True or res == "budget":
-                        return res
+                    if apply_split(k, k2, needed, idx, path, s, cont):
+                        return True
             nxt = sorted(
                 u
                 for u in bit_indices(host.adj[v])
                 if assign[u] == -1 and u not in path
             )
-            res = extend(k, k2, needed, idx, path, nxt, cont)
+            if extend(k, k2, needed, idx, path, nxt, cont):
+                return True
             path.pop()
-            if res is True or res == "budget":
-                return res
         return False
 
-    res = place(0)
-    if res == "budget":
+    try:
+        found = place(0)
+    except BudgetExhausted:
         return BUDGET
-    if res is True:
-        branch = [frozenset()] * pattern.n
-        for pos, p in enumerate(order):
-            branch[p] = frozenset(sets[pos])
-        return Embedding("minor", branch_sets=tuple(branch))
-    return ABSENT
+    if not found:
+        return ABSENT
+    branch = [frozenset()] * pattern.n
+    for pos, p in enumerate(order):
+        branch[p] = frozenset(sets[pos])
+    return Embedding("minor", branch_sets=tuple(branch))
 
 
 # -- the biclique-or-induced-path dichotomy witness --------------------------
-
-
-@dataclass(frozen=True)
-class GrsWitness:
-    """Either a K_{r,s} subgraph embedding, an induced path on l vertices,
-    proof that an exhaustive search found neither, or a budget overrun."""
-
-    kind: str  # "biclique" | "induced_path" | "exhausted" | "budget"
-    embedding: Embedding | None = None
-    path: PathWitness | None = None
 
 
 def find_biclique(host: Graph, r: int, s: int, budget: int | None = DEFAULT_BUDGET):
@@ -339,14 +316,14 @@ def find_biclique(host: Graph, r: int, s: int, budget: int | None = DEFAULT_BUDG
     return ABSENT
 
 
-def grs_witness(g: Graph, r: int, s: int, l: int, budget: int | None = DEFAULT_BUDGET) -> GrsWitness:
-    """Biclique K_{r,s} if present, else an induced P_l, else exhaustion."""
+def grs_witness(g: Graph, r: int, s: int, l: int, budget: int | None = DEFAULT_BUDGET):
+    """A K_{r,s} subgraph ``Embedding`` if present, else an induced path on
+    at least l vertices (``PathWitness``); ``ABSENT`` only when both
+    searches were exhaustive, else ``BUDGET``."""
     emb = find_biclique(g, r, s, budget)
     if isinstance(emb, Embedding):
-        return GrsWitness("biclique", embedding=emb)
-    path, path_exhausted = find_induced_path(g, l, budget)
-    if path is not None:
-        return GrsWitness("induced_path", path=path)
-    if emb is ABSENT and path_exhausted:
-        return GrsWitness("exhausted")
-    return GrsWitness("budget")
+        return emb
+    path = find_induced_path(g, l, budget)
+    if isinstance(path, PathWitness):
+        return path
+    return BUDGET if BUDGET in (emb, path) else ABSENT

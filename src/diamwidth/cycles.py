@@ -29,10 +29,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations
 
-from .graphs import Graph
-from .containment import ABSENT, BUDGET
+from .graphs import ABSENT, BUDGET, DEFAULT_BUDGET, BudgetExhausted, Graph
 
-DEFAULT_CYCLE_BUDGET = 2_000_000
 ENUMERATION_CAP = 60_000
 
 
@@ -49,7 +47,7 @@ def cycles_through_vertex(
     length: int,
     avoid: int = 0,
     limit: int | None = None,
-    budget: int | None = DEFAULT_CYCLE_BUDGET,
+    budget: int | None = DEFAULT_BUDGET,
 ):
     """Simple cycles of exactly ``length`` vertices through v, avoiding the
     ``avoid`` vertex mask.  Duplicates are removed by anchoring the cycle
@@ -70,7 +68,7 @@ def cycles_through_edge(
     length: int,
     avoid: int = 0,
     limit: int | None = None,
-    budget: int | None = DEFAULT_CYCLE_BUDGET,
+    budget: int | None = DEFAULT_BUDGET,
 ):
     """Simple cycles of exactly ``length`` vertices traversing edge uv."""
     if not g.has_edge(u, v):
@@ -142,8 +140,8 @@ def _anchored_search(g, path, length, avoid, oriented, limit, budget):
     return out, exhausted
 
 
-def find_cycle_subgraph(g: Graph, length: int, budget: int | None = DEFAULT_CYCLE_BUDGET):
-    """Any C_length subgraph of g, or None (exhaustive unless budget hit)."""
+def find_cycle_subgraph(g: Graph, length: int, budget: int | None = DEFAULT_BUDGET):
+    """Any C_length subgraph of g as a vertex tuple, ABSENT or BUDGET."""
     for v in range(g.n):
         # cycles whose minimum vertex is v: avoid all smaller ids
         avoid = (1 << v) - 1
@@ -152,7 +150,7 @@ def find_cycle_subgraph(g: Graph, length: int, budget: int | None = DEFAULT_CYCL
             return cyc[0]
         if not exhausted:
             return BUDGET
-    return None
+    return ABSENT
 
 
 def _anchored_cycles(g, anchor, length, avoid, limit, budget):
@@ -174,25 +172,27 @@ def _find_one(g, anchor, lengths, avoid, budget):
             return cyc[0]
         if not exhausted:
             return BUDGET
-    return None
+    return ABSENT
 
 
 def _greedy_packing(g, anchor, quotas, budget):
-    """Deterministic greedy disjoint packing; may satisfy the quota early."""
+    """Deterministic greedy disjoint packing: the cycles picked up to the
+    first miss (it may satisfy the quota early), or BUDGET."""
     core = _core_mask(anchor)
     used = 0
     picked: list[tuple[int, ...]] = []
     for length, count in sorted(quotas.items()):
         for _ in range(count):
-            cyc, exhausted = _anchored_cycles(g, anchor, length, used, 1, budget)
-            if not cyc:
-                return picked, exhausted
-            c = cyc[0]
+            c = _find_one(g, anchor, (length,), used, budget)
+            if c is BUDGET:
+                return BUDGET
+            if c is ABSENT:
+                return picked
             picked.append(c)
             for w in c:
                 used |= 1 << w
             used &= ~core
-    return picked, True
+    return picked
 
 
 def _blocking_bound(g, anchor, lengths, budget):
@@ -233,7 +233,7 @@ def _blocking_bound(g, anchor, lengths, budget):
         blockers = 0
         for _ in range(g.n):
             cyc = _find_one(g, anchor, lengths, blockers, budget)
-            if cyc is None:
+            if cyc is ABSENT:
                 if best is None or blockers.bit_count() < best.bit_count():
                     best = blockers
                 break
@@ -247,7 +247,7 @@ def cycle_packing(
     g: Graph,
     anchor: tuple,
     quotas: dict[int, int],
-    budget: int | None = DEFAULT_CYCLE_BUDGET,
+    budget: int | None = DEFAULT_BUDGET,
 ):
     """Exact packing decision at an anchor.
 
@@ -264,11 +264,11 @@ def cycle_packing(
     core = _core_mask(anchor)
     lengths = sorted(quotas)
 
-    picked, greedy_exhaustive = _greedy_packing(g, anchor, quotas, budget)
+    picked = _greedy_packing(g, anchor, quotas, budget)
+    if picked is BUDGET:
+        return BUDGET
     if len(picked) >= total:
         return CyclePacking(anchor, tuple(picked), True)
-    if not greedy_exhaustive:
-        return BUDGET
 
     # a single length's quota may already be infeasible on its own
     for length, need in quotas.items():
@@ -295,13 +295,15 @@ def cycle_packing(
     by_length = {l: [(c, m) for (lc, c, m) in pool if lc == l] for l in lengths}
     nodes = 0
 
-    def search(li: int, need: int, start: int, used: int, acc: list):
+    acc: list[tuple[int, ...]] = []
+
+    def search(li: int, need: int, start: int, used: int) -> bool:
         nonlocal nodes
         if need == 0:
             li += 1
             if li == len(lengths):
                 return True
-            return search(li, quotas[lengths[li]], 0, used, acc)
+            return search(li, quotas[lengths[li]], 0, used)
         cand = by_length[lengths[li]]
         for i in range(start, len(cand)):
             c, m = cand[i]
@@ -309,23 +311,18 @@ def cycle_packing(
                 continue
             nodes += 1
             if budget is not None and nodes > budget:
-                return "budget"
+                raise BudgetExhausted
             acc.append(c)
-            res = search(li, need - 1, i + 1, used | m, acc)
-            if res is True:
+            if search(li, need - 1, i + 1, used | m):
                 return True
             acc.pop()
-            if res == "budget":
-                return "budget"
         return False
 
-    acc: list[tuple[int, ...]] = []
-    res = search(0, quotas[lengths[0]], 0, 0, acc)
-    if res is True:
-        return CyclePacking(anchor, tuple(acc), True)
-    if res == "budget":
+    try:
+        found = search(0, quotas[lengths[0]], 0, 0)
+    except BudgetExhausted:
         return BUDGET
-    return ABSENT
+    return CyclePacking(anchor, tuple(acc), True) if found else ABSENT
 
 
 def verify_packing(g: Graph, packing: CyclePacking, quotas: dict[int, int]) -> bool:
@@ -369,7 +366,7 @@ def vtype_or_etype_free(
     g: Graph,
     lengths: list[int],
     mode: str,
-    budget: int | None = DEFAULT_CYCLE_BUDGET,
+    budget: int | None = DEFAULT_BUDGET,
 ):
     """Decide C^V / C^E subgraph-freeness by packing at every anchor.
 

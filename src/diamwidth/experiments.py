@@ -13,7 +13,7 @@ import json
 import time
 from dataclasses import dataclass
 
-from .containment import ABSENT, BUDGET, has_subgraph
+from .containment import ABSENT, BUDGET, DEFAULT_BUDGET, has_subgraph
 from .cycles import cycles_through_vertex, vtype_or_etype_free, cycle_packing
 from .families import (
     apex_path,
@@ -83,7 +83,7 @@ class ExperimentPlan:
                 parse_family_spec(chk["pattern"])
 
 
-def run_experiment(plan: ExperimentPlan, budget: int | None = 2_000_000):
+def run_experiment(plan: ExperimentPlan, budget: int | None = DEFAULT_BUDGET):
     """Returns (header, rows, ok).  ok is False when any expectation fails."""
     plan.validate()
     header = ["schema", "family", "n", "m"]
@@ -342,7 +342,7 @@ def _check_samecyc_gadgets() -> TheoremReport:
         from .cycles import find_cycle_subgraph
 
         hit = find_cycle_subgraph(sub, 8, budget=None)
-        return hit is None, f"{label}-side C8 search"
+        return hit is ABSENT, f"{label}-side C8 search"
 
     steps.append(("variant B x-side C8-free", lambda: side_free("x")))
     steps.append(("variant B y-side C8-free", lambda: side_free("y")))

@@ -20,6 +20,33 @@ from typing import Iterable, Iterator, Mapping
 INFINITE = math.inf
 
 
+# -- the budget contract -------------------------------------------------------
+#
+# Every budgeted decision search returns its witness, ``ABSENT`` only after
+# an exhaustive search, or ``BUDGET`` when its node budget ran out first.  A
+# run-out budget is never coerced to absence or to a verdict.  Inside one
+# recursive search, running out raises ``BudgetExhausted``, and the search's
+# own entry point turns it into ``BUDGET``; the exception never escapes.
+
+
+class _Marker:
+    def __init__(self, name: str):
+        self._name = name
+
+    def __repr__(self) -> str:
+        return self._name
+
+
+ABSENT = _Marker("ABSENT")
+BUDGET = _Marker("BUDGET")
+
+DEFAULT_BUDGET = 2_000_000
+
+
+class BudgetExhausted(Exception):
+    """The node budget of the running search is spent."""
+
+
 def bit_indices(mask: int) -> Iterator[int]:
     """Yield the set bit positions of ``mask`` in increasing order."""
     while mask:

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .graphs import Graph, bit_indices, component_masks
+from .graphs import ABSENT, BUDGET, BudgetExhausted, Graph, bit_indices, component_masks
 
 PLAIN_EXACT_LIMIT = 18
 INDUCED_EXACT_LIMIT = 20
@@ -141,13 +141,12 @@ def longest_induced_path(
         node_budget = 500_000  # heuristic mode is a bounded best-effort search
     best: list[int] = [0]
     nodes = 0
-    overran = False
     adj = g.adj
     path: list[int] = []
 
     def extend(used: int, blocked: int) -> None:
         # blocked = used + neighbourhoods of all non-tail path vertices
-        nonlocal nodes, overran, best
+        nonlocal nodes, best
         if len(path) > len(best):
             best = path[:]
         tail = path[-1]
@@ -158,39 +157,33 @@ def longest_induced_path(
             cand ^= low
             nodes += 1
             if node_budget is not None and nodes > node_budget:
-                overran = True
-                return
+                raise BudgetExhausted
             path.append(low.bit_length() - 1)
             extend(used | low, blocked)
             path.pop()
-            if overran:
-                return
 
     starts = range(g.n) if exact else sorted(
         range(g.n), key=lambda v: (-g.degree(v), v)
     )
-    for s in starts:
-        path.append(s)
-        extend(1 << s, 0)
-        path.pop()
-        if overran:
-            break
-    return PathWitness(tuple(best), "induced", exact and not overran)
+    try:
+        for s in starts:
+            path.append(s)
+            extend(1 << s, 0)
+            path.pop()
+    except BudgetExhausted:
+        exact = False
+    return PathWitness(tuple(best), "induced", exact)
 
 
 def find_induced_path(g: Graph, target_vertices: int, node_budget: int | None = None):
-    """First induced path with >= target_vertices vertices, or None.
-
-    The search is exhaustive when node_budget is not hit, so a None return
-    with no budget overrun proves absence.  Returns (witness, exhausted).
-    """
+    """First induced path with >= target_vertices vertices as a
+    ``PathWitness``, ``ABSENT`` after an exhaustive search, or ``BUDGET``."""
     nodes = 0
-    overran = False
     adj = g.adj
     path: list[int] = []
 
     def extend(used: int, blocked: int) -> bool:
-        nonlocal nodes, overran
+        nonlocal nodes
         if len(path) >= target_vertices:
             return True
         tail = path[-1]
@@ -201,21 +194,19 @@ def find_induced_path(g: Graph, target_vertices: int, node_budget: int | None = 
             cand ^= low
             nodes += 1
             if node_budget is not None and nodes > node_budget:
-                overran = True
-                return False
+                raise BudgetExhausted
             path.append(low.bit_length() - 1)
             if extend(used | low, blocked):
                 return True
             path.pop()
-            if overran:
-                return False
         return False
 
-    for s in range(g.n):
-        path.append(s)
-        if extend(1 << s, 0):
-            return PathWitness(tuple(path), "induced", True), True
-        path.pop()
-        if overran:
-            return None, False
-    return None, True
+    try:
+        for s in range(g.n):
+            path.append(s)
+            if extend(1 << s, 0):
+                return PathWitness(tuple(path), "induced", True)
+            path.pop()
+    except BudgetExhausted:
+        return BUDGET
+    return ABSENT

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .graphs import Graph, diameter, graph_from_edges
+from .graphs import ABSENT, BUDGET, Graph, diameter, graph_from_edges
 
 
 def is_prime(q: int) -> bool:
@@ -72,8 +72,8 @@ def max_common_neighbors(g: Graph) -> int:
     return best
 
 
-def find_c4(g: Graph) -> tuple[int, int, int, int] | None:
-    """A 4-cycle subgraph (u, x, v, y) if one exists."""
+def find_c4(g: Graph):
+    """A 4-cycle subgraph (u, x, v, y), or ABSENT."""
     for u in range(g.n):
         for v in range(u + 1, g.n):
             common = g.adj[u] & g.adj[v]
@@ -82,7 +82,7 @@ def find_c4(g: Graph) -> tuple[int, int, int, int] | None:
                 rest = common ^ (1 << x)
                 y = (rest & -rest).bit_length() - 1
                 return (u, x, v, y)
-    return None
+    return ABSENT
 
 
 @dataclass(frozen=True)
@@ -91,12 +91,14 @@ class PolarityReport:
     forbidden_cycle: int
     diameter_bound: int
     diameter_actual: int | float
-    cycle_witness: tuple[int, ...] | None
+    cycle_witness: object  # the cycle found, ABSENT, or BUDGET
 
     def reason(self) -> str:
         if self.passed:
             return "ok"
-        if self.cycle_witness is not None:
+        if self.cycle_witness is BUDGET:
+            return f"C_{self.forbidden_cycle} search ran out of budget"
+        if self.cycle_witness is not ABSENT:
             return f"contains C_{self.forbidden_cycle}: {self.cycle_witness}"
         return f"diameter {self.diameter_actual} exceeds {self.diameter_bound}"
 
@@ -121,5 +123,4 @@ def verify_polarity_claims(g: Graph, incidence_girth: int) -> PolarityReport:
 
         witness = find_cycle_subgraph(g, forbidden)
     diam = diameter(g)
-    ok = witness is None and diam <= dbound
-    return PolarityReport(ok, forbidden, dbound, diam, tuple(witness) if witness else None)
+    return PolarityReport(witness is ABSENT and diam <= dbound, forbidden, dbound, diam, witness)

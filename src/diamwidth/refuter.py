@@ -34,7 +34,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 
-from .graphs import Graph
+from .graphs import ABSENT, BudgetExhausted, Graph
 from .cycles import find_cycle_subgraph
 
 DEFAULT_REFUTE_BUDGET = 500_000
@@ -225,27 +225,28 @@ class _Search:
             return RefutationOutcome(
                 "Refuted", None, self.nodes, 0, dead, self.W
             )
-        status = self._dfs(0, replay or [])
-        if status == "found":
+        try:
+            found = self._dfs(0, replay or [])
+        except BudgetExhausted:
+            return RefutationOutcome("BudgetExhausted", None, self.nodes, 0, None, self.W)
+        if found:
             return RefutationOutcome(
                 "Consistent", self.model_graph(), self.nodes,
                 self.used_witnesses, None, self.W,
             )
-        if status == "budget":
-            return RefutationOutcome(
-                "BudgetExhausted", None, self.nodes, self.used_witnesses, None, self.W
-            )
         return RefutationOutcome("Refuted", None, self.nodes, 0, None, self.W)
 
-    def _dfs(self, k: int, replay: list[int]):
+    def _dfs(self, k: int, replay: list[int]) -> bool:
+        """Whether obligations k.. can all be met; raises BudgetExhausted
+        when the budget runs out."""
         if k == len(self.obligations):
-            return "found"
+            return True
         i, j = self.obligations[k]
         if self._dist_at_most(i, j, self.d):
             self.decisions.append(-1)
-            res = self._dfs(k + 1, replay[1:] if replay else [])
+            found = self._dfs(k + 1, replay[1:] if replay else [])
             self.decisions.pop()
-            return res
+            return found
         choices = self._choices(i, j)
         adj = self.adj
         start = replay[0] if replay else 0
@@ -256,7 +257,7 @@ class _Search:
             self.nodes += 1
             if self.budget is not None and self.nodes > self.budget:
                 self._dump_state()
-                return "budget"
+                raise BudgetExhausted
             for u, v in edges:
                 adj[u] |= 1 << v
                 adj[v] |= 1 << u
@@ -269,23 +270,16 @@ class _Search:
             if not closes:
                 self.decisions.append(ci)
                 sub_replay = replay[1:] if (replay and ci == start) else []
-                res = self._dfs(k + 1, sub_replay)
-                if res == "found":
-                    return res  # keep the model's edges in place
+                if self._dfs(k + 1, sub_replay):
+                    return True  # keep the model's edges in place
                 self.decisions.pop()
-                if res == "budget":
-                    self.used_witnesses -= fresh
-                    for u, v in edges:
-                        adj[u] &= ~(1 << v)
-                        adj[v] &= ~(1 << u)
-                    return res
             self.used_witnesses -= fresh
             for u, v in edges:
                 adj[u] &= ~(1 << v)
                 adj[v] &= ~(1 << u)
             if self.nodes % _STATE_DUMP_EVERY == 0:
                 self._dump_state()
-        return "exhausted"
+        return False
 
     def model_graph(self) -> Graph:
         n = self.L + 1 + self.used_witnesses
@@ -344,7 +338,7 @@ def verify_model(model: Graph, r: int, d: int, L: int) -> tuple[bool, str]:
             if (j - i == 1) != has:
                 return False, f"path adjacency broken at ({i},{j})"
     hit = find_cycle_subgraph(model, 2 * r, budget=None)
-    if hit is not None:
+    if hit is not ABSENT:
         return False, f"contains C_{2*r}: {hit}"
     from .graphs import distances_from
 

@@ -150,6 +150,9 @@ def test_classify_spec_examples():
     assert classify(cycle_graph(6), "subgraph", "td", 3).citation == "gq-polarity-c6-d3"
     assert classify(path_graph(4), "induced", "cw", 2).answer == "Bounded"
     assert classify(h_graph(2, 3), "subgraph", "td", 4).answer == "Bounded"
+    # a run-out hgraph2 search leaves the query open, never Unbounded
+    v = classify(h_graph(2, 3), "subgraph", "td", 4, budget=5)
+    assert v.answer == "Open" and "budget-limited checks left undecided" in v.note
     assert classify(h_graph(2, 3), "subgraph", "td", 5).answer == "Unbounded"
     v = classify([patterned_apex_path(3, "1")], "minor", "td", 2)
     assert v.answer == "Bounded" and v.citation == "minor-diam-td"

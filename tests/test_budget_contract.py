@@ -1,0 +1,77 @@
+"""The budget contract of every budgeted decision search: its witness,
+ABSENT only after an exhaustive search, or BUDGET; a run-out budget never
+becomes a verdict, and BudgetExhausted never escapes an entry point."""
+
+import random
+
+import pytest
+
+from diamwidth.atlas import hgraph2_level
+from diamwidth.containment import (
+    find_biclique,
+    grs_witness,
+    has_induced_subgraph,
+    has_minor,
+    has_subgraph,
+)
+from diamwidth.cycles import cycle_packing, find_cycle_subgraph, vtype_or_etype_free
+from diamwidth.families import (
+    complete_graph,
+    cycle_bouquet,
+    cycle_graph,
+    h_graph,
+    path_graph,
+    wall,
+)
+from diamwidth.graphs import BUDGET, graph_from_edges
+from diamwidth.paths import find_induced_path
+from diamwidth.refuter import refute_path
+
+
+def random_graph(n, p, seed):
+    rng = random.Random(seed)
+    return graph_from_edges(
+        n, [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p]
+    )
+
+
+# Every public budgeted decision search, as budget -> result, on an instance
+# that needs more than one search node.  The cycle_packing instance runs
+# out inside the combination search at budgets 20 and below (its anchored
+# enumerations fit), so the sweep below reaches that search's cut too.
+SEARCHES = {
+    "has_subgraph": lambda b: has_subgraph(random_graph(12, 0.5, 1), complete_graph(4), b),
+    "has_induced_subgraph": lambda b: has_induced_subgraph(wall(2), path_graph(5), b),
+    "has_minor": lambda b: has_minor(wall(2), cycle_graph(6), b),
+    "find_biclique": lambda b: find_biclique(cycle_graph(9), 2, 2, b),
+    "grs_witness": lambda b: grs_witness(cycle_graph(9), 2, 2, 8, b),
+    "find_induced_path": lambda b: find_induced_path(path_graph(6), 6, b),
+    "find_cycle_subgraph": lambda b: find_cycle_subgraph(cycle_graph(8), 8, b),
+    "cycle_packing": lambda b: cycle_packing(
+        random_graph(11, 0.6, 3), ("edge", 0, 2), {4: 4}, b
+    ),
+    "vtype_or_etype_free": lambda b: vtype_or_etype_free(
+        cycle_bouquet([5, 5], "vertex"), [5, 5], "vertex", b
+    ),
+    "hgraph2_level": lambda b: hgraph2_level(h_graph(2, 3), b),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SEARCHES))
+def test_budget_one_is_budget_and_any_budget_is_budget_or_the_answer(name):
+    search = SEARCHES[name]
+    assert search(1) is BUDGET
+    full = search(None)
+    assert full is not BUDGET
+    decided = False
+    for budget in range(60):
+        res = search(budget)
+        assert res is BUDGET or res == full, (budget, res)
+        decided = decided or res is not BUDGET
+    assert decided
+
+
+def test_refuter_budget_one_is_budget_exhausted():
+    out = refute_path(2, 2, 8, budget=1)
+    assert (out.status, out.nodes, out.witnesses_used) == ("BudgetExhausted", 2, 0)
+

@@ -40,11 +40,15 @@ def test_check_subgraph_and_budget_exit(tmp_path, capsys):
     assert code == 0 and json.loads(out)["result"] == "found"
     run(["construct", "clique:8", "--out", host], capsys)
     run(["construct", "clique:7", "--out", pat], capsys)
-    code, out = run(
-        ["check", "subgraph", "--host", host, "--pattern", pat, "--budget", "1"],
-        capsys,
-    )
-    assert code == 3 and json.loads(out)["result"] == "budget"
+    for kind, extra in (
+        ("subgraph", ["--pattern", pat]),
+        ("induced", ["--pattern", pat]),
+        ("minor", ["--pattern", pat]),
+        ("vfree", ["--lengths", "4,4"]),
+        ("efree", ["--lengths", "4,4"]),
+    ):
+        code, out = run(["check", kind, "--host", host, *extra, "--budget", "1"], capsys)
+        assert code == 3 and json.loads(out)["result"] == "budget", kind
 
 
 def test_check_efree(tmp_path, capsys):
@@ -190,10 +194,17 @@ def test_determinism_byte_identical(tmp_path, capsys):
     assert open(a).read() == open(b).read()
 
 
-def test_removed_global_flags_are_usage_errors(capsys):
-    for flags in (["--seed", "7"], ["--deterministic"], ["--jobs", "2"]):
-        code, _ = run([*flags, "construct", "cycle:4"], capsys)
-        assert code == 2, flags
+def test_removed_global_flags_are_usage_errors(tmp_path, capsys):
+    g6 = str(tmp_path / "g.g6")
+    run(["construct", "cycle:4", "--out", g6], capsys)
+    for argv in (
+        ["--seed", "7", "construct", "cycle:4"],
+        ["--deterministic", "construct", "cycle:4"],
+        ["--jobs", "2", "construct", "cycle:4"],
+        ["width", "td", "--in", g6, "--limit", "5"],  # the removed width flag
+    ):
+        code, _ = run(argv, capsys)
+        assert code == 2, argv
 
 
 def test_check_rejects_forged_witnesses(tmp_path, capsys, monkeypatch):

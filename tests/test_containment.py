@@ -22,7 +22,7 @@ from diamwidth.families import (
     wall,
 )
 from diamwidth.graphs import complement, disjoint_union, graph_from_edges
-from diamwidth.paths import longest_induced_path
+from diamwidth.paths import PathWitness, longest_induced_path
 from diamwidth.polarity import er_polarity_graph
 
 from oracles import brute_has_minor, brute_has_subgraph
@@ -127,14 +127,14 @@ def test_budget_is_three_valued():
 
 def test_grs_witness():
     w = grs_witness(complete_bipartite(5, 5), 2, 2, 4)
-    assert w.kind == "biclique"
-    assert verify_embedding(complete_bipartite(5, 5), complete_bipartite(2, 2), w.embedding)
+    assert isinstance(w, Embedding)
+    assert verify_embedding(complete_bipartite(5, 5), complete_bipartite(2, 2), w)
     w = grs_witness(path_graph(20), 2, 2, 10)
-    assert w.kind == "induced_path" and w.path.num_vertices >= 10
+    assert isinstance(w, PathWitness) and w.num_vertices >= 10
     w = grs_witness(er_polarity_graph(5), 2, 2, 6)
-    assert w.kind == "induced_path"
+    assert isinstance(w, PathWitness)
     w = grs_witness(cycle_graph(5), 2, 2, 6)
-    assert w.kind == "exhausted"
+    assert w is ABSENT
     # no K_{r,s}-free exhausted graph may still hold a long induced path
     assert longest_induced_path(cycle_graph(5)).num_vertices < 6
 

@@ -42,9 +42,9 @@ def test_cycle_enumeration_counts():
 
 
 def test_find_cycle_subgraph():
-    assert find_cycle_subgraph(cycle_graph(6), 6) is not None
-    assert find_cycle_subgraph(cycle_graph(6), 5) is None
-    assert find_cycle_subgraph(spider([2, 2, 2]), 4) is None
+    assert find_cycle_subgraph(cycle_graph(6), 6) == (0, 1, 2, 3, 4, 5)
+    assert find_cycle_subgraph(cycle_graph(6), 5) is ABSENT
+    assert find_cycle_subgraph(spider([2, 2, 2]), 4) is ABSENT
 
 
 def test_packing_examples():
@@ -105,10 +105,10 @@ def test_samecyc_restricted_side_has_no_c8():
     g = gadget_samecyc(40, "B", 4)
     ids = path_vertex_ids(g) + [g.find_label("x")]
     sub, _ = induced_subgraph(g, ids)
-    assert find_cycle_subgraph(sub, 8, budget=None) is None
+    assert find_cycle_subgraph(sub, 8, budget=None) is ABSENT
     ids = path_vertex_ids(g) + [g.find_label("y")]
     sub, _ = induced_subgraph(g, ids)
-    assert find_cycle_subgraph(sub, 8, budget=None) is None
+    assert find_cycle_subgraph(sub, 8, budget=None) is ABSENT
 
 
 def test_enumerators_match_reference_dfs():

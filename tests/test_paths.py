@@ -1,7 +1,7 @@
 import random
 
 from diamwidth.families import complete_graph, cycle_graph, path_graph, spider
-from diamwidth.graphs import graph_from_edges
+from diamwidth.graphs import ABSENT, graph_from_edges
 from diamwidth.paths import (
     PathWitness,
     find_induced_path,
@@ -70,10 +70,9 @@ def test_heuristic_mode_is_flagged_lower_bound():
 
 
 def test_find_induced_path_absence_is_exhaustive():
-    w, exhausted = find_induced_path(complete_graph(6), 3)
-    assert w is None and exhausted
-    w, exhausted = find_induced_path(spider([3, 3, 3]), 7)
-    assert w is not None and w.num_vertices == 7
+    assert find_induced_path(complete_graph(6), 3) is ABSENT
+    w = find_induced_path(spider([3, 3, 3]), 7)
+    assert isinstance(w, PathWitness) and w.num_vertices == 7
 
 
 def test_witness_verifier_rejects_bad_paths():

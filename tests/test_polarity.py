@@ -1,6 +1,6 @@
 import pytest
 
-from diamwidth.containment import ABSENT, has_subgraph
+from diamwidth.containment import ABSENT, BUDGET, has_subgraph
 from diamwidth.families import complete_bipartite, cycle_graph
 from diamwidth.graphs import diameter
 from diamwidth.polarity import (
@@ -62,6 +62,10 @@ def test_verify_polarity_claims():
     assert not rep.passed and rep.forbidden_cycle == 6
     with pytest.raises(ValueError):
         verify_polarity_claims(cycle_graph(5), 10)
+    # C6-free with diameter 2, but the default-budget C6 search runs out
+    rep = verify_polarity_claims(complete_bipartite(1001, 2), 8)
+    assert rep.cycle_witness is BUDGET and not rep.passed
+    assert "ran out of budget" in rep.reason()
 
 
 def test_is_prime():
