@@ -141,65 +141,34 @@ def is_cycle_graph_of(g: Graph, length: int | None = None) -> int | None:
 
 
 def parse_vtype(g: Graph) -> tuple[int, ...] | None:
-    """Cycle lengths if g is exactly a vertex-shared bouquet (k >= 2)."""
-    if not is_connected(g) or g.n < 5:
+    """Cycle lengths if g is exactly a vertex-shared bouquet (k >= 2).
+
+    A connected graph with one vertex v of degree >= 3 and all others of
+    degree 2 is one: each component of g - v is a path whose two ends are
+    its only neighbours of v, a petal of one more vertex."""
+    hubs = [v for v in range(g.n) if g.degree(v) != 2]
+    if len(hubs) != 1 or g.degree(hubs[0]) < 3 or not is_connected(g):
         return None
-    hubs = [v for v in range(g.n) if g.degree(v) >= 3]
-    if len(hubs) != 1:
-        return None
-    v0 = hubs[0]
-    if g.degree(v0) % 2 or g.degree(v0) < 4:
-        return None
-    if any(g.degree(v) != 2 for v in range(g.n) if v != v0):
-        return None
-    lengths = []
-    rest = ((1 << g.n) - 1) & ~(1 << v0)
-    for comp in component_masks(g, rest):
-        sub, old = induced_subgraph(g, list(bit_indices(comp)))
-        if not is_path_graph(sub) or sub.n < 2:
-            return None
-        ends = [old[i] for i in range(sub.n) if sub.degree(i) == 1]
-        if len(ends) != 2 or not all(g.has_edge(e, v0) for e in ends):
-            return None
-        lengths.append(sub.n + 1)
-    if len(lengths) != g.degree(v0) // 2:
-        return None
-    return tuple(sorted(lengths))
+    rest = ((1 << g.n) - 1) & ~(1 << hubs[0])
+    return tuple(sorted(c.bit_count() + 1 for c in component_masks(g, rest)))
 
 
 def parse_etype(g: Graph) -> tuple[int, ...] | None:
-    """Cycle lengths if g is exactly an edge-shared bouquet (k >= 2)."""
-    if not is_connected(g) or g.n < 4:
-        return None
-    hubs = [v for v in range(g.n) if g.degree(v) >= 3]
-    if len(hubs) != 2:
+    """Cycle lengths if g is exactly an edge-shared bouquet (k >= 2).
+
+    With two adjacent vertices u, w of degree >= 3 and all others of
+    degree 2, g is one when each component of g - {u, w} has exactly one
+    neighbour of u: the component is then a path from u to w (a cycle
+    component, which has none, is ruled out), a petal of two more
+    vertices."""
+    hubs = [v for v in range(g.n) if g.degree(v) != 2]
+    if len(hubs) != 2 or min(map(g.degree, hubs)) < 3 or not g.has_edge(*hubs):
         return None
     u, w = hubs
-    if not g.has_edge(u, w) or g.degree(u) != g.degree(w) or g.degree(u) < 3:
+    comps = component_masks(g, ((1 << g.n) - 1) & ~(1 << u) & ~(1 << w))
+    if any((c & g.adj[u]).bit_count() != 1 for c in comps):
         return None
-    if any(g.degree(v) != 2 for v in range(g.n) if v not in (u, w)):
-        return None
-    k = g.degree(u) - 1
-    lengths = []
-    rest = ((1 << g.n) - 1) & ~(1 << u) & ~(1 << w)
-    for comp in component_masks(g, rest):
-        sub, old = induced_subgraph(g, list(bit_indices(comp)))
-        if not is_path_graph(sub):
-            return None
-        if sub.n == 1:
-            x = old[0]
-            if not (g.has_edge(x, u) and g.has_edge(x, w)):
-                return None
-        else:
-            ends = [old[i] for i in range(sub.n) if sub.degree(i) == 1]
-            hits_u = [e for e in ends if g.has_edge(e, u)]
-            hits_w = [e for e in ends if g.has_edge(e, w)]
-            if len(hits_u) != 1 or len(hits_w) != 1 or hits_u[0] == hits_w[0]:
-                return None
-        lengths.append(sub.n + 2)
-    if len(lengths) != k or k < 2:
-        return None
-    return tuple(sorted(lengths))
+    return tuple(sorted(c.bit_count() + 2 for c in comps))
 
 
 def subgraph_of_uniform_vtype(g: Graph) -> bool:
@@ -283,9 +252,6 @@ def _packs_at_some_anchor(g: Graph, jobs, budget: int | None) -> bool | None:
 def contains_cv_12x6_12x8(g: Graph, budget: int | None) -> bool | None:
     if g.n < 145:
         return False
-    parsed = parse_vtype(g)
-    if parsed is not None:
-        return parsed.count(6) >= 12 and parsed.count(8) >= 12
     quota = {6: 12, 8: 12}
     return _packs_at_some_anchor(g, ((("vertex", v), quota) for v in range(g.n)), budget)
 
@@ -299,9 +265,6 @@ def contains_ce_uniform(g: Graph, budget: int | None) -> bool | None:
     while 2 + 2 * (2 * l - 3) * (2 * l - 2) <= g.n:
         quotas.append((2 * l, 2 * (2 * l - 3)))
         l += 1
-    parsed = parse_etype(g)
-    if parsed is not None:
-        return any(parsed.count(length) >= k for length, k in quotas)
     jobs = ((("edge", u, v), {length: k}) for length, k in quotas for u, v in g.edges())
     return _packs_at_some_anchor(g, jobs, budget)
 

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from collections import Counter
 
@@ -51,14 +50,6 @@ EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
 EXIT_USAGE = 2
 EXIT_BUDGET = 3
-
-BUDGET_ENV = "DIAMWIDTH_BUDGET"
-
-
-def _default_budget() -> int:
-    raw = os.environ.get(BUDGET_ENV, "")
-    return int(raw) if raw.isdigit() else DEFAULT_BUDGET
-
 
 def _load(path: str, fmt: str | None, labels: str | None = None):
     return read_graph(path, fmt, labels)
@@ -291,7 +282,7 @@ def build_parser() -> argparse.ArgumentParser:
     k.add_argument("--pattern-format", choices=["graph6", "edgelist"])
     k.add_argument("--pattern-family", help="pattern as a family spec")
     k.add_argument("--lengths", help="cycle lengths for vfree/efree, e.g. 6,6,8")
-    k.add_argument("--budget", type=int, default=_default_budget())
+    k.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
     k.set_defaults(fn=_cmd_check)
 
     w = sub.add_parser("width", help="exact width with certificate")
@@ -323,7 +314,7 @@ def build_parser() -> argparse.ArgumentParser:
     r.add_argument("--r", type=int, required=True, help="forbidden cycle C_{2r}")
     r.add_argument("--d", type=int, required=True, choices=[2, 3])
     r.add_argument("--length", type=int, required=True, help="edge length of the induced path")
-    r.add_argument("--budget", type=int, default=_default_budget())
+    r.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
     r.add_argument("--vocabulary", type=int, help="witness cap (default 3L/d)")
     r.add_argument("--state", help="resumable search-state file")
     r.set_defaults(fn=_cmd_refute)
@@ -331,7 +322,7 @@ def build_parser() -> argparse.ArgumentParser:
     e = sub.add_parser("experiment", help="run an experiment plan; CSV out")
     e.add_argument("--plan", required=True)
     e.add_argument("--out")
-    e.add_argument("--budget", type=int, default=_default_budget())
+    e.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
     e.set_defaults(fn=_cmd_experiment)
 
     v = sub.add_parser("verify-theorem", help="run a named check bundle")

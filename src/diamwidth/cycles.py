@@ -7,12 +7,20 @@ These are precisely the host copies of the vertex-shared / edge-shared
 cycle bouquets, so the packing decision doubles as the specialized
 containment check for those patterns.
 
+Before any enumeration, the anchor's degree bounds the packing: packed
+cycles share only the anchor, so each takes two edges at a vertex anchor
+v (a packing has at most deg(v) // 2 cycles) and one edge besides uv at
+each end of an edge anchor uv (at most min(deg u, deg v) - 1 cycles).
+
 For instances where full enumeration is infeasible (dense hosts put
-millions of anchored cycles through a clique) the solver first tries a
+millions of anchored cycles through a clique) the solver then tries a
 blocking-set bound: an exhaustive search that proves every quota-length
 anchored cycle meets a vertex set B disjoint from the anchor shows that
 any packing has at most |B| cycles, because packed cycles consume distinct
-B vertices.  A bound below quota is an exact Absent.
+B vertices.  B is built greedily from the highest-degree non-anchor
+vertex of each anchored cycle still avoiding it.  The bound is taken for
+each length's quota and for the total; one below its quota is an exact
+Absent.
 
 The anchored enumerators grow a path from the anchor and stop one vertex
 short: at ``length - 1`` path vertices the closing vertices are the
@@ -196,51 +204,21 @@ def _greedy_packing(g, anchor, quotas, budget):
 
 
 def _blocking_bound(g, anchor, lengths, budget):
-    """The smallest greedy blocking set over a few pick strategies, or
-    None.  Validity does not depend on the heuristic: the loop only ends
-    when an exhaustive search finds no anchored cycle avoiding the set."""
+    """The size of a greedy blocking set, or None if a search ran out of
+    budget.  Each pick is the highest-degree non-anchor vertex of an
+    anchored cycle that avoids the set so far; the set is complete when an
+    exhaustive search finds no such cycle, whatever the picks were."""
     core = _core_mask(anchor)
-    sample: list[tuple[int, ...]] = []
-    for length in sorted(set(lengths)):
-        got, _ = _anchored_cycles(g, anchor, length, 0, 400, budget)
-        sample.extend(got)
-
-    def freq_of(blockers: int) -> dict[int, int]:
-        freq: dict[int, int] = {}
-        for c in sample:
-            if not any((blockers >> w) & 1 for w in c):
-                for w in c:
-                    if not (core >> w) & 1:
-                        freq[w] = freq.get(w, 0) + 1
-        return freq
-
-    def by_frequency(cyc, blockers):
-        freq = freq_of(blockers)
-        return max(
-            (w for w in cyc if not (core >> w) & 1),
-            key=lambda w: (freq.get(w, 0), g.degree(w), -w),
+    blockers = 0
+    while True:
+        cyc = _find_one(g, anchor, lengths, blockers, budget)
+        if cyc is ABSENT:
+            return blockers.bit_count()
+        if cyc is BUDGET:
+            return None
+        blockers |= 1 << max(
+            (w for w in cyc if not (core >> w) & 1), key=lambda w: (g.degree(w), -w)
         )
-
-    strategies = [
-        lambda cyc, blockers: max(
-            (w for w in cyc if not (core >> w) & 1),
-            key=lambda w: (g.degree(w), -w),
-        ),
-        by_frequency,
-    ]
-    best = None
-    for pick_fn in strategies:
-        blockers = 0
-        for _ in range(g.n):
-            cyc = _find_one(g, anchor, lengths, blockers, budget)
-            if cyc is ABSENT:
-                if best is None or blockers.bit_count() < best.bit_count():
-                    best = blockers
-                break
-            if cyc is BUDGET:
-                break
-            blockers |= 1 << pick_fn(cyc, blockers)
-    return best
 
 
 def cycle_packing(
@@ -253,7 +231,7 @@ def cycle_packing(
 
     anchor: ("vertex", v) or ("edge", u, v).  quotas: cycle length ->
     required count (lengths >= 3).  Returns a satisfied CyclePacking, or
-    ABSENT (exhaustive: greedy bound, blocking-set bound, or exhausted
+    ABSENT (anchor-degree test, blocking-set bound, or exhausted
     combination search), or BUDGET.
     """
     if any(l < 3 for l in quotas):
@@ -261,6 +239,15 @@ def cycle_packing(
     total = sum(quotas.values())
     if total == 0:
         return CyclePacking(anchor, (), True)
+    # each packed cycle takes two edges at v, or one more at each end of uv
+    if anchor[0] == "vertex":
+        room = g.degree(anchor[1]) // 2
+    elif g.has_edge(anchor[1], anchor[2]):
+        room = min(g.degree(anchor[1]), g.degree(anchor[2])) - 1
+    else:
+        raise ValueError(f"anchor edge ({anchor[1]},{anchor[2]}) not present")
+    if room < total:
+        return ABSENT
     core = _core_mask(anchor)
     lengths = sorted(quotas)
 
@@ -270,14 +257,13 @@ def cycle_packing(
     if len(picked) >= total:
         return CyclePacking(anchor, tuple(picked), True)
 
-    # a single length's quota may already be infeasible on its own
-    for length, need in quotas.items():
-        blockers = _blocking_bound(g, anchor, [length], budget)
-        if blockers is not None and blockers.bit_count() < need:
-            return ABSENT
+    # each length's quota may be blocked on its own, and so may the total
+    checks = [([length], need) for length, need in quotas.items()]
     if len(lengths) > 1:
-        blockers = _blocking_bound(g, anchor, lengths, budget)
-        if blockers is not None and blockers.bit_count() < total:
+        checks.append((lengths, total))
+    for check_lengths, need in checks:
+        bound = _blocking_bound(g, anchor, check_lengths, budget)
+        if bound is not None and bound < need:
             return ABSENT
 
     # full enumeration + exact combination search

@@ -81,6 +81,13 @@ class ExperimentPlan:
                 raise ValueError(f"unknown check kind {chk.get('kind')!r}")
             if chk["kind"] == "free":
                 parse_family_spec(chk["pattern"])
+                if chk.get("relation", "subgraph") != "subgraph":
+                    raise ValueError("free checks support the subgraph relation only")
+            if chk["kind"] == "width":
+                if chk.get("parameter", "td") != "td":
+                    raise ValueError("width checks support td only")
+                if chk.get("mode", "bounds") not in ("bounds", "exact"):
+                    raise ValueError(f"unknown width mode {chk.get('mode')!r}")
 
 
 def run_experiment(plan: ExperimentPlan, budget: int | None = DEFAULT_BUDGET):
@@ -119,11 +126,7 @@ def run_experiment(plan: ExperimentPlan, budget: int | None = DEFAULT_BUDGET):
                         cell += "!FAIL"
                         all_ok = False
             else:  # width
-                parameter = chk.get("parameter", "td")
-                mode = chk.get("mode", "bounds")
-                if parameter != "td":
-                    raise ValueError("width checks support td only")
-                if mode == "exact" and g.n <= 24:
+                if chk.get("mode", "bounds") == "exact" and g.n <= 24:
                     cell = str(treedepth_exact(g).value)
                 else:
                     lo, hi = treedepth_bounds(g)

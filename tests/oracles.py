@@ -321,3 +321,33 @@ def reference_cycles_through_edge(g: Graph, u: int, v: int, length: int, avoid: 
 
     dfs(b, (1 << a) | (1 << b))
     return out, exhausted
+
+
+def reference_packing(g: Graph, anchor: tuple, quotas: dict[int, int]):
+    """A cycle packing by brute force, or None.  Tries every choice of
+    quota-many anchored cycles per length (from the plain DFS above),
+    cycle by cycle, dropping a partial choice as soon as two of its cycles
+    meet off the anchor."""
+    core = set(anchor[1:])
+    wanted = []  # one entry per cycle to choose: the candidates of its length
+    for length, count in sorted(quotas.items()):
+        if anchor[0] == "vertex":
+            cycles, _ = reference_cycles_through_vertex(g, anchor[1], length)
+        else:
+            cycles, _ = reference_cycles_through_edge(g, anchor[1], anchor[2], length)
+        wanted += [cycles] * count
+
+    def pick(i: int, start: int, used: set):
+        if i == len(wanted):
+            return ()
+        if i and wanted[i] is not wanted[i - 1]:
+            start = 0  # a new length: its cycles are chosen in index order
+        for j in range(start, len(wanted[i])):
+            off_anchor = set(wanted[i][j]) - core
+            if not off_anchor & used:
+                rest = pick(i + 1, j + 1, used | off_anchor)
+                if rest is not None:
+                    return (wanted[i][j],) + rest
+        return None
+
+    return pick(0, 0, set())

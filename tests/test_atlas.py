@@ -1,6 +1,7 @@
 import hashlib
 import json
 import math
+from itertools import combinations_with_replacement
 
 import pytest
 
@@ -32,8 +33,9 @@ from diamwidth.families import (
     patterned_apex_path,
     spider,
 )
+from diamwidth.canon import are_isomorphic
 from diamwidth.census import enumerate_all_graphs, enumerate_connected_graphs
-from diamwidth.graphs import disjoint_union
+from diamwidth.graphs import disjoint_union, graph_from_edges
 
 INF = math.inf
 
@@ -72,6 +74,34 @@ def test_vtype_etype_parses():
     assert parse_etype(cycle_bouquet([3, 3, 3], "edge")) == (3, 3, 3)
     assert parse_etype(cycle_bouquet([6, 6], "vertex")) is None
     assert parse_vtype(spider([2, 2, 2])) is None
+    parsers = {"vertex": parse_vtype, "edge": parse_etype}
+    # a graph that parses is the bouquet of its parsed lengths
+    for level in enumerate_all_graphs(7):
+        for g in level:
+            for mode, parse in parsers.items():
+                lengths = parse(g)
+                assert lengths is None or are_isomorphic(g, cycle_bouquet(list(lengths), mode))
+    # every bouquet parses to its own lengths; near-misses parse to nothing
+    for k in (2, 3, 4):
+        for lengths in combinations_with_replacement(range(3, 9), k):
+            for mode, parse in parsers.items():
+                b = cycle_bouquet(list(lengths), mode)
+                assert parse(b) == lengths
+                n, edges = b.n, list(b.edges())
+                near = [
+                    graph_from_edges(n + 1, edges + [(n - 1, n)]),  # pendant edge
+                    graph_from_edges(n + 1, edges),  # isolated vertex
+                    graph_from_edges(n + 3, edges + [(n, n + 1), (n + 1, n + 2), (n + 2, n)]),
+                ]
+                if mode == "vertex":  # a petal from the hub closed at a petal vertex
+                    near.append(graph_from_edges(n + 1, edges + [(0, n), (n, 2)]))
+                else:  # petals closed at one hub only, then one at each hub
+                    at_0 = edges + [(0, n), (n, n + 1), (n + 1, 0)]
+                    near.append(graph_from_edges(n + 2, at_0))
+                    at_1 = [(1, n + 2), (n + 2, n + 3), (n + 3, 1)]
+                    near.append(graph_from_edges(n + 4, at_0 + at_1))
+                for g in near:
+                    assert parse_vtype(g) is None and parse_etype(g) is None, (mode, lengths)
 
 
 def test_uniform_vtype_subgraph_recognizer():

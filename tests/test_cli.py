@@ -1,7 +1,8 @@
 import json
 
-from diamwidth.cli import main
+from diamwidth.cli import build_parser, main
 from diamwidth.formats import read_graph
+from diamwidth.graphs import DEFAULT_BUDGET
 
 
 def run(args, capsys):
@@ -49,6 +50,13 @@ def test_check_subgraph_and_budget_exit(tmp_path, capsys):
     ):
         code, out = run(["check", kind, "--host", host, *extra, "--budget", "1"], capsys)
         assert code == 3 and json.loads(out)["result"] == "budget", kind
+
+
+def test_budget_default_ignores_environment(monkeypatch):
+    # --budget is the one way to set a check's budget
+    monkeypatch.setenv("DIAMWIDTH_BUDGET", "5")
+    args = build_parser().parse_args(["check", "vfree", "--host", "h.g6"])
+    assert args.budget == DEFAULT_BUDGET
 
 
 def test_check_efree(tmp_path, capsys):

@@ -1,5 +1,8 @@
 import random
 
+import pytest
+
+from diamwidth.atlas import DEFAULT_CLASSIFY_BUDGET, contains_cv_12x6_12x8
 from diamwidth.containment import ABSENT, has_subgraph
 from diamwidth.cycles import (
     CyclePacking,
@@ -21,7 +24,11 @@ from diamwidth.families import (
 )
 from diamwidth.graphs import graph_from_edges, induced_subgraph
 
-from oracles import reference_cycles_through_edge, reference_cycles_through_vertex
+from oracles import (
+    reference_cycles_through_edge,
+    reference_cycles_through_vertex,
+    reference_packing,
+)
 
 
 def test_cycle_enumeration_counts():
@@ -57,6 +64,15 @@ def test_packing_examples():
     u, v = ce.find_label("hub"), ce.find_label("hub2")
     res = cycle_packing(ce, ("edge", u, v), {6: 2})
     assert isinstance(res, CyclePacking) and verify_packing(ce, res, {6: 2})
+    for quotas in ({5: 1}, {5: 2}):  # a non-edge anchor, whatever its degrees
+        with pytest.raises(ValueError):
+            cycle_packing(cycle_graph(5), ("edge", 0, 2), quotas)
+    # eleven 8-cycles block twelve, though the hub's degree and a blocking
+    # set for both lengths leave room for 24 cycles
+    near = cycle_bouquet([6] * 20 + [8] * 11, "vertex")
+    assert cycle_packing(near, ("vertex", near.find_label("hub")), {6: 12, 8: 12}) is ABSENT
+    assert contains_cv_12x6_12x8(near, DEFAULT_CLASSIFY_BUDGET) is False
+    assert vtype_or_etype_free(near, [6] * 12 + [8] * 12, "vertex").free
 
 
 def test_cv_gadget_packing_refuted():
@@ -135,3 +151,43 @@ def test_enumerators_match_reference_dfs():
                         assert cycles_through_edge(g, b, a, length, avoid, limit, budget) == (
                             reference_cycles_through_edge(g, b, a, length, avoid, limit, budget)
                         )
+
+
+def test_packing_matches_brute_force():
+    """Packing or ABSENT exactly as brute force says, at both anchor kinds,
+    with the cycle count set around the anchor-degree bound: deg(v) // 2 at
+    a vertex, min(deg u, deg v) - 1 at an edge uv."""
+    rng = random.Random(6)
+    sides = set()
+    for trial in range(400):
+        n = rng.randrange(5, 11)
+        lengths = rng.sample(range(3, 7), rng.choice((1, 2)))
+        p = rng.choice((0.5, 0.8) if max(lengths) <= 4 else (0.3, 0.5))
+        g = graph_from_edges(
+            n, [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p]
+        )
+        edges = list(g.edges())
+        if trial % 2 and edges:
+            u, v = edges[rng.randrange(len(edges))]
+            anchor = ("edge", u, v)
+            room = min(g.degree(u), g.degree(v)) - 1
+        else:
+            v = rng.randrange(n)
+            anchor = ("vertex", v)
+            room = g.degree(v) // 2
+        total = min(4, max(1, room + rng.choice((-1, 0, 0, 1))))
+        quotas: dict[int, int] = {}
+        for i in range(total):
+            length = lengths[i % len(lengths)]
+            quotas[length] = quotas.get(length, 0) + 1
+        res = cycle_packing(g, anchor, quotas)
+        ref = reference_packing(g, anchor, quotas)
+        assert isinstance(res, CyclePacking) == (ref is not None), (trial, anchor, quotas)
+        if ref is None:
+            assert res is ABSENT
+        else:
+            assert verify_packing(g, res, quotas)
+        sides.add((anchor[0], (room > total) - (room < total), ref is not None))
+    # packings at the bound itself, and anchors on both sides of it
+    for kind in ("vertex", "edge"):
+        assert {(kind, 0, True), (kind, -1, False), (kind, 1, True)} <= sides

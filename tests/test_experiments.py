@@ -29,13 +29,17 @@ def test_plan_round_trip_and_validation():
         ExperimentPlan.from_json(
             json.dumps({"family_template": "nope:{}", "values": [3], "checks": []})
         )
-    with pytest.raises(ValueError):
-        ExperimentPlan.from_json(
-            json.dumps(
-                {"family_template": "path:{}", "values": [3],
-                 "checks": [{"kind": "bogus"}]}
+    # checks run_experiment cannot run are rejected up front
+    for bad in (
+        {"kind": "bogus"},
+        {"kind": "free", "relation": "minor", "pattern": "clique:4"},
+        {"kind": "width", "parameter": "tw"},
+        {"kind": "width", "mode": "upper"},
+    ):
+        with pytest.raises(ValueError):
+            ExperimentPlan.from_json(
+                json.dumps({"family_template": "wall:{}", "values": [2], "checks": [bad]})
             )
-        )
 
 
 def test_cv_gadget_sweep():
