@@ -32,7 +32,6 @@ from .graphs import (
     bit_indices,
     component_masks,
     cyclomatic_number,
-    delete_vertex,
     induced_subgraph,
     is_connected,
     is_bipartite,
@@ -66,35 +65,30 @@ def induced_subgraph_of_p4(g: Graph) -> bool:
     return has_induced_subgraph(path_graph(4), g, budget=None) is not ABSENT
 
 
+def _apex(g: Graph, test: Callable[[Graph, int], bool]) -> bool:
+    """Whether ``test`` holds on the vertex mask of g or of g minus one
+    vertex."""
+    full = (1 << g.n) - 1
+    return test(g, full) or any(test(g, full & ~(1 << v)) for v in range(g.n))
+
+
 def is_apex_forest(g: Graph) -> bool:
-    if is_forest(g):
-        return True
-    return any(is_forest(delete_vertex(g, v)) for v in range(g.n))
+    """g, or g minus one vertex, is a forest."""
+    return _apex(g, is_forest)
 
 
 def is_apex_linear_forest(g: Graph) -> bool:
-    if is_linear_forest(g):
-        return True
-    return any(is_linear_forest(delete_vertex(g, v)) for v in range(g.n))
-
-
-def is_subdivided_claw(g: Graph) -> bool:
-    """Tree with maximum degree 3 and exactly one degree-3 vertex."""
-    if not is_connected(g) or g.m != g.n - 1:
-        return False
-    degs = g.degrees
-    return max(degs) == 3 and sum(1 for d in degs if d == 3) == 1
+    """g, or g minus one vertex, is a linear forest."""
+    return _apex(g, is_linear_forest)
 
 
 def in_script_s(g: Graph) -> bool:
-    """Every component a path or a subdivided claw."""
-    if g.n == 0:
+    """Every component a path or a subdivided claw: a forest of maximum
+    degree at most 3 with at most one degree-3 vertex per component."""
+    if g.n == 0 or max(g.degrees) > 3 or not is_forest(g):
         return False
-    for comp in component_masks(g):
-        sub, _ = induced_subgraph(g, list(bit_indices(comp)))
-        if not (is_path_graph(sub) or is_subdivided_claw(sub)):
-            return False
-    return True
+    threes = sum(1 << v for v, d in enumerate(g.degrees) if d == 3)
+    return all((c & threes).bit_count() <= 1 for c in component_masks(g))
 
 
 def subgraph_of_subdivided_star(g: Graph) -> bool:
@@ -186,36 +180,28 @@ def subgraph_of_uniform_vtype(g: Graph) -> bool:
     if hubs:
         v0 = hubs[0]
     else:
-        cyc_comps = []
-        for comp in component_masks(g):
-            sub, old = induced_subgraph(g, list(bit_indices(comp)))
-            if sub.m >= sub.n:
-                cyc_comps.append(old)
+        cyc_comps = [c for c in component_masks(g) if not is_forest(g, c)]
         if len(cyc_comps) > 1:
             return False
         if not cyc_comps:
             return True  # linear forest: any large even petal length works
-        v0 = cyc_comps[0][0]
+        v0 = (cyc_comps[0] & -cyc_comps[0]).bit_length() - 1
     cycle_len = None
     pieces = []
     rest = ((1 << g.n) - 1) & ~(1 << v0)
     for comp in component_masks(g, rest):
-        sub, old = induced_subgraph(g, list(bit_indices(comp)))
-        if not is_path_graph(sub):
+        if not is_path_graph(g, comp):
             return False
-        if sub.n == 1:
-            ends = [old[0]]
-        else:
-            ends = [old[i] for i in range(sub.n) if sub.degree(i) == 1]
-        anchored = [e for e in ends if g.has_edge(e, v0)]
-        if len(anchored) == 2:
-            length = sub.n + 1
+        # a path's ends have at most one neighbour on it (none if it is K1)
+        ends = sum(1 << v for v in bit_indices(comp) if (g.adj[v] & comp).bit_count() <= 1)
+        if (ends & g.adj[v0]).bit_count() == 2:
+            length = comp.bit_count() + 1
             if cycle_len is None:
                 cycle_len = length
             if length != cycle_len:
                 return False
         else:
-            pieces.append(sub.n)
+            pieces.append(comp.bit_count())
     if cycle_len is not None:
         if cycle_len % 2 or cycle_len < 6:
             return False
@@ -346,19 +332,16 @@ PREDICATES: dict[str, Callable[[Graph, int | None], bool | None]] = {
 def reduce_components(g: Graph) -> Graph:
     """The component deciding treedepth boundedness under the subgraph
     relation: the unique non-path component if there is one, else a
-    longest path component.  With two or more non-path components the
-    graph is returned unchanged (it is never an apex linear forest, so
-    the canonical unbounded rule decides).  Idempotent."""
+    longest path component, as a new graph.  A connected graph, or one
+    with two or more non-path components, is returned unchanged (the
+    latter is never an apex linear forest, so the canonical unbounded rule
+    decides).  Idempotent."""
     comps = component_masks(g)
-    if len(comps) <= 1:
+    nonpath = [c for c in comps if not is_path_graph(g, c)]
+    if len(comps) <= 1 or len(nonpath) > 1:
         return g
-    subs = [induced_subgraph(g, list(bit_indices(c)))[0] for c in comps]
-    nonpath = [s for s in subs if not is_path_graph(s)]
-    if len(nonpath) == 1:
-        return nonpath[0]
-    if len(nonpath) > 1:
-        return g
-    return max(subs, key=lambda s: s.n)
+    keep = nonpath[0] if nonpath else max(comps, key=int.bit_count)
+    return induced_subgraph(g, bit_indices(keep))[0]
 
 
 # -- the oracle ---------------------------------------------------------------
@@ -487,7 +470,7 @@ def classify(
         raise ValueError("forbidden graphs must be nonempty")
 
     trace: list[str] = []
-    if relation == "subgraph" and parameter == "td" and len(component_masks(graphs[0])) > 1:
+    if relation == "subgraph" and parameter == "td":
         reduced = reduce_components(graphs[0])
         if reduced is not graphs[0]:
             trace.append(

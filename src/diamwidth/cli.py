@@ -51,9 +51,6 @@ EXIT_CHECK_FAILED = 1
 EXIT_USAGE = 2
 EXIT_BUDGET = 3
 
-def _load(path: str, fmt: str | None, labels: str | None = None):
-    return read_graph(path, fmt, labels)
-
 
 def _cmd_construct(args) -> int:
     text = args.family
@@ -73,11 +70,11 @@ def _cmd_construct(args) -> int:
 
 
 def _cmd_check(args) -> int:
-    host = _load(args.host, args.host_format)
+    host = read_graph(args.host, args.host_format)
     budget = args.budget
     if args.kind in ("subgraph", "induced", "minor"):
         if args.pattern:
-            pattern = _load(args.pattern, args.pattern_format)
+            pattern = read_graph(args.pattern, args.pattern_format)
         elif args.pattern_family:
             pattern = build_family(args.pattern_family)
         else:
@@ -140,7 +137,7 @@ def _certificate_payload(result) -> dict:
 
 
 def _cmd_width(args) -> int:
-    g = _load(args.infile, args.format)
+    g = read_graph(args.infile, args.format)
     solve = {"td": treedepth_exact, "pw": pathwidth_exact, "tw": treewidth_exact}[args.parameter]
     try:
         result = solve(g)
@@ -168,7 +165,7 @@ def _parse_diameter(text: str):
 
 
 def _cmd_classify(args) -> int:
-    g = _load(args.forbidden, args.format)
+    g = read_graph(args.forbidden, args.format)
     d = _parse_diameter(args.diameter)
     forbidden = [g] if args.relation == "minor" else g
     verdict = classify(forbidden, args.relation, args.parameter, d, args.budget)
@@ -252,7 +249,7 @@ def _cmd_verify_theorem(args) -> int:
 
 
 def _cmd_convert(args) -> int:
-    g = _load(args.infile, args.in_format, args.in_labels)
+    g = read_graph(args.infile, args.in_format, args.in_labels)
     write_graph(args.out, g, args.out_format, args.out_labels)
     return EXIT_OK
 

@@ -230,12 +230,15 @@ def cycle_packing(
     """Exact packing decision at an anchor.
 
     anchor: ("vertex", v) or ("edge", u, v).  quotas: cycle length ->
-    required count (lengths >= 3).  Returns a satisfied CyclePacking, or
-    ABSENT (anchor-degree test, blocking-set bound, or exhausted
-    combination search), or BUDGET.
+    required count (lengths >= 3, counts >= 0).  Returns a satisfied
+    CyclePacking, or ABSENT (anchor-degree test, blocking-set bound, or
+    exhausted combination search), or BUDGET.
     """
-    if any(l < 3 for l in quotas):
-        raise ValueError("cycle lengths must be >= 3")
+    for length, count in quotas.items():
+        if length < 3:
+            raise ValueError("cycle lengths must be >= 3")
+        if count < 0:
+            raise ValueError("cycle counts must be >= 0")
     total = sum(quotas.values())
     if total == 0:
         return CyclePacking(anchor, (), True)
@@ -357,10 +360,13 @@ def vtype_or_etype_free(
     """Decide C^V / C^E subgraph-freeness by packing at every anchor.
 
     Returns a FreenessCertificate or BUDGET.  Equivalent to direct
-    subgraph containment of the bouquet pattern.
+    subgraph containment of the bouquet pattern, which needs at least one
+    cycle length.
     """
     if mode not in ("vertex", "edge"):
         raise ValueError("mode must be 'vertex' or 'edge'")
+    if not lengths:
+        raise ValueError("a bouquet needs at least one cycle length")
     quotas: dict[int, int] = {}
     for l in lengths:
         quotas[l] = quotas.get(l, 0) + 1

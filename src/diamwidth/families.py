@@ -37,9 +37,12 @@ and verifiers can address gadget roles without guessing:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
 from itertools import combinations
+from typing import Callable
 
-from .graphs import Graph, bipartition, bit_indices, graph_from_edges, subdivide
+from .graphs import Graph, bipartition, bit_indices, disjoint_union, graph_from_edges, subdivide
+from .polarity import er_polarity_graph
 
 
 # -- standard families -----------------------------------------------------
@@ -354,9 +357,10 @@ def path_vertex_ids(g: Graph) -> list[int]:
 class FamilySpec:
     """A family id plus its parameters, round-trippable through text.
 
-    Text grammar: ``family`` or ``family:arg,arg,...``.  Numeric args are
-    integers; cycle-length lists accept ``KxL`` multiplicity shorthand
-    (``cv:12x6,12x8``); bit patterns and variant letters stay strings.
+    Text grammar: ``family`` or ``family:arg,arg,...``.  Bit patterns and
+    variant letters stay strings; every other arg is an integer, and
+    cycle-length lists accept ``KxL`` multiplicity shorthand
+    (``cv:12x6,12x8``).
     Disjoint unions: ``union:spec+spec``.
     """
 
@@ -371,17 +375,33 @@ class FamilySpec:
         return self.family + ":" + ",".join(str(a) for a in self.args)
 
 
-_FAMILIES = (
-    "path cycle clique biclique spider hgraph cv ce wall apexpath "
-    "gadget-cw gadget-cv gadget-ce samecyc sub-biclique sub-clique "
-    "er-polarity union"
-).split()
+# Family name -> builder taking the spec's parsed args.
+_BUILDERS: dict[str, Callable[..., Graph]] = {
+    "path": path_graph,
+    "cycle": cycle_graph,
+    "clique": complete_graph,
+    "biclique": complete_bipartite,
+    "spider": lambda *legs: spider(list(legs)),
+    "hgraph": h_graph,
+    "cv": lambda *lengths: cycle_bouquet(list(lengths), "vertex"),
+    "ce": lambda *lengths: cycle_bouquet(list(lengths), "edge"),
+    "wall": wall,
+    "apexpath": patterned_apex_path,
+    "gadget-cw": gadget_triangle_free_cw,
+    "gadget-cv": gadget_cv_unbounded,
+    "gadget-ce": gadget_ce_unbounded,
+    "samecyc": gadget_samecyc,
+    "sub-biclique": lambda n: subdivided_witness("biclique-1-sub", n),
+    "sub-clique": lambda n: subdivided_witness("clique-2-sub", n),
+    "er-polarity": er_polarity_graph,
+    "union": lambda *parts: reduce(disjoint_union, map(build_family, parts)),
+}
 
 
 def parse_family_spec(text: str) -> FamilySpec:
     text = text.strip()
     name, _, rest = text.partition(":")
-    if name not in _FAMILIES:
+    if name not in _BUILDERS:
         raise ValueError(f"unknown family {name!r}")
     if name == "union":
         if not rest:
@@ -399,61 +419,14 @@ def parse_family_spec(text: str) -> FamilySpec:
         elif name in ("cv", "ce"):  # cycle lengths; KxL is K cycles of length L
             k, x, l = item.partition("x")
             args.extend([int(l)] * int(k) if x else [int(k)])
-        elif item.lstrip("-").isdigit():
-            args.append(int(item))
         else:
-            args.append(item)
+            args.append(int(item))
     return FamilySpec(name, tuple(args))
 
 
 def build_family(spec: FamilySpec | str) -> Graph:
     if isinstance(spec, str):
         spec = parse_family_spec(spec)
-    fam, args = spec.family, spec.args
-    if fam == "path":
-        return path_graph(*args)
-    if fam == "cycle":
-        return cycle_graph(*args)
-    if fam == "clique":
-        return complete_graph(*args)
-    if fam == "biclique":
-        return complete_bipartite(*args)
-    if fam == "spider":
-        return spider(list(args))
-    if fam == "hgraph":
-        return h_graph(*args)
-    if fam == "cv":
-        return cycle_bouquet(list(args), "vertex")
-    if fam == "ce":
-        return cycle_bouquet(list(args), "edge")
-    if fam == "wall":
-        return wall(*args)
-    if fam == "apexpath":
-        return patterned_apex_path(int(args[0]), str(args[1]))
-    if fam == "gadget-cw":
-        return gadget_triangle_free_cw(*args)
-    if fam == "gadget-cv":
-        return gadget_cv_unbounded(*args)
-    if fam == "gadget-ce":
-        return gadget_ce_unbounded(*args)
-    if fam == "samecyc":
-        n = int(args[0])
-        variant = str(args[1])
-        return gadget_samecyc(n, variant, int(args[2]) if len(args) > 2 else None)
-    if fam == "sub-biclique":
-        return subdivided_witness("biclique-1-sub", *args)
-    if fam == "sub-clique":
-        return subdivided_witness("clique-2-sub", *args)
-    if fam == "er-polarity":
-        from .polarity import er_polarity_graph
-
-        return er_polarity_graph(*args)
-    if fam == "union":
-        from .graphs import disjoint_union
-
-        parts = [build_family(sub) for sub in args]
-        out = parts[0]
-        for p in parts[1:]:
-            out = disjoint_union(out, p)
-        return out
-    raise ValueError(f"unknown family {fam!r}")
+    if spec.family not in _BUILDERS:
+        raise ValueError(f"unknown family {spec.family!r}")
+    return _BUILDERS[spec.family](*spec.args)

@@ -374,32 +374,30 @@ def girth(g: Graph) -> int | float:
     return best
 
 
-def cyclomatic_number(g: Graph) -> int:
-    """Number of independent cycles: m - n + #components."""
-    return g.m - g.n + len(component_masks(g))
+def cyclomatic_number(g: Graph, within: int | None = None) -> int:
+    """Number of independent cycles of g (induced on the vertex mask
+    ``within``): edges - vertices + components."""
+    mask = (1 << g.n) - 1 if within is None else within
+    edges = sum((g.adj[v] & mask).bit_count() for v in bit_indices(mask)) // 2
+    return edges - mask.bit_count() + len(component_masks(g, mask))
 
 
-def is_forest(g: Graph) -> bool:
-    return cyclomatic_number(g) == 0
+def is_forest(g: Graph, within: int | None = None) -> bool:
+    """True iff g (induced on ``within``) has no cycle."""
+    return cyclomatic_number(g, within) == 0
 
 
-def is_path_graph(g: Graph) -> bool:
-    """True iff g is a (possibly single-vertex) path."""
-    if g.n == 0:
-        return False
-    if g.n == 1:
-        return True
-    degs = sorted(g.degrees)
+def is_linear_forest(g: Graph, within: int | None = None) -> bool:
+    """True iff g (induced on ``within``) is acyclic with every degree at
+    most 2, i.e. every component is a path."""
+    mask = (1 << g.n) - 1 if within is None else within
     return (
-        is_connected(g)
-        and g.m == g.n - 1
-        and degs[0] == 1
-        and degs[-1] <= 2
+        all((g.adj[v] & mask).bit_count() <= 2 for v in bit_indices(mask))
+        and is_forest(g, within)
     )
 
 
-def is_linear_forest(g: Graph) -> bool:
-    return all(
-        is_path_graph(induced_subgraph(g, list(bit_indices(c)))[0])
-        for c in component_masks(g)
-    )
+def is_path_graph(g: Graph, within: int | None = None) -> bool:
+    """True iff g (induced on ``within``) is a (possibly single-vertex)
+    path: a connected, nonempty linear forest."""
+    return len(component_masks(g, within)) == 1 and is_linear_forest(g, within)

@@ -351,3 +351,77 @@ def reference_packing(g: Graph, anchor: tuple, quotas: dict[int, int]):
         return None
 
     return pick(0, 0, set())
+
+
+# -- forest, path and apex structure, restated on networkx graphs ------------
+
+
+def to_networkx(g: Graph, within: int | None = None):
+    """g induced on the vertex mask ``within`` (all of g by default), as a
+    networkx graph on the original ids (test-only import)."""
+    import networkx as nx
+
+    h = nx.Graph()
+    h.add_nodes_from(v for v in range(g.n) if within is None or (within >> v) & 1)
+    h.add_edges_from((u, v) for u, v in g.edges() if u in h and v in h)
+    return h
+
+
+def _components(h) -> list:
+    import networkx as nx
+
+    return [h.subgraph(c) for c in nx.connected_components(h)]
+
+
+def reference_is_forest(h) -> bool:
+    import networkx as nx
+
+    return len(h) == 0 or nx.is_forest(h)
+
+
+def reference_is_path(h) -> bool:
+    """A tree whose diameter passes through every vertex."""
+    import networkx as nx
+
+    return len(h) > 0 and nx.is_tree(h) and nx.diameter(h) == len(h) - 1
+
+
+def reference_is_linear_forest(h) -> bool:
+    return all(reference_is_path(c) for c in _components(h))
+
+
+def _with_apex(h, test) -> bool:
+    import networkx as nx
+
+    return test(h) or any(test(nx.restricted_view(h, [v], [])) for v in h)
+
+
+def reference_is_apex_forest(h) -> bool:
+    return _with_apex(h, reference_is_forest)
+
+
+def reference_is_apex_linear_forest(h) -> bool:
+    return _with_apex(h, reference_is_linear_forest)
+
+
+def reference_in_script_s(h) -> bool:
+    """Nonempty with every component a tree of at most three leaves: a
+    path (at most two) or a subdivided claw (exactly three)."""
+    import networkx as nx
+
+    return len(h) > 0 and all(
+        nx.is_tree(c) and sum(1 for _v, d in c.degree if d == 1) <= 3
+        for c in _components(h)
+    )
+
+
+def reference_reduce_components(h):
+    """The vertex set ``atlas.reduce_components`` keeps, or None where it
+    returns the graph unchanged: one component, or two non-path ones."""
+    import networkx as nx
+
+    comps = [set(c) for c in nx.connected_components(h)]
+    nonpath = [c for c in comps if not reference_is_path(h.subgraph(c))]
+    if len(comps) <= 1 or len(nonpath) > 1:
+        return None
+    return nonpath[0] if nonpath else max(comps, key=len)

@@ -15,6 +15,8 @@ from diamwidth.atlas import (
     citation_statement,
     hgraph2_level,
     in_script_s,
+    is_apex_forest,
+    is_apex_linear_forest,
     load_registry,
     parse_etype,
     parse_vtype,
@@ -36,6 +38,13 @@ from diamwidth.families import (
 from diamwidth.canon import are_isomorphic
 from diamwidth.census import enumerate_all_graphs, enumerate_connected_graphs
 from diamwidth.graphs import disjoint_union, graph_from_edges
+from oracles import (
+    reference_in_script_s,
+    reference_is_apex_forest,
+    reference_is_apex_linear_forest,
+    reference_reduce_components,
+    to_networkx,
+)
 
 INF = math.inf
 
@@ -171,6 +180,22 @@ def test_reduce_components():
     two = disjoint_union(cycle_graph(4), cycle_graph(5))
     assert reduce_components(two) == two
     assert reduce_components(reduce_components(two)) == two
+
+
+def test_forest_recognizers_match_networkx():
+    nx = pytest.importorskip("networkx")
+    for level in enumerate_all_graphs(7):  # disconnected graphs included
+        for g in level:
+            h = to_networkx(g)
+            assert is_apex_forest(g) == reference_is_apex_forest(h)
+            assert is_apex_linear_forest(g) == reference_is_apex_linear_forest(h)
+            assert in_script_s(g) == reference_in_script_s(h)
+            keep = reference_reduce_components(h)
+            got = reduce_components(g)
+            if keep is None:
+                assert got is g
+            else:
+                assert nx.is_isomorphic(to_networkx(got), h.subgraph(keep))
 
 
 def test_classify_spec_examples():

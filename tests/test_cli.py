@@ -242,3 +242,5 @@ def test_check_rejects_malformed_lengths(tmp_path, capsys):
     run(["construct", "cycle:6", "--out", host], capsys)
     for bad in ("6,,8", "x6", "6x", "six"):
         assert run(["check", "vfree", "--host", host, "--lengths", bad], capsys)[0] == 2
+    for kind in ("vfree", "efree"):  # zero cycles: no bouquet to look for
+        assert run(["check", kind, "--host", host, "--lengths", "0x6"], capsys)[0] == 2

@@ -67,6 +67,12 @@ def test_packing_examples():
     for quotas in ({5: 1}, {5: 2}):  # a non-edge anchor, whatever its degrees
         with pytest.raises(ValueError):
             cycle_packing(cycle_graph(5), ("edge", 0, 2), quotas)
+    with pytest.raises(ValueError):
+        cycle_packing(cv, ("vertex", hub), {6: -1})
+    assert cycle_packing(cv, ("vertex", hub), {6: 0}).cycles == ()
+    for mode in ("vertex", "edge"):
+        with pytest.raises(ValueError):
+            vtype_or_etype_free(cv, [], mode)
     # eleven 8-cycles block twelve, though the hub's degree and a blocking
     # set for both lengths leave room for 24 cycles
     near = cycle_bouquet([6] * 20 + [8] * 11, "vertex")

@@ -258,7 +258,7 @@ def test_family_spec_round_trip():
         parse_family_spec("nonsense:3")
     with pytest.raises(ValueError):
         parse_family_spec("path")
-    for bad in ("cv:abc", "ce:6,", "cv:x6"):
+    for bad in ("cv:abc", "ce:6,", "cv:x6", "path:abc", "apexpath:x,101", "samecyc:40,B,x"):
         with pytest.raises(ValueError):
             parse_family_spec(bad)
     assert parse_family_spec("apexpath:6,0110").args[1] == "0110"

@@ -1,6 +1,7 @@
 import pytest
 
 from diamwidth.canon import are_isomorphic
+from diamwidth.census import enumerate_all_graphs
 from diamwidth.families import (
     complete_bipartite,
     complete_graph,
@@ -14,6 +15,8 @@ from diamwidth.graphs import (
     Graph,
     bit_indices,
     complement,
+    component_masks,
+    cyclomatic_number,
     diameter,
     disjoint_union,
     distance_table,
@@ -23,9 +26,17 @@ from diamwidth.graphs import (
     graph_from_edges,
     induced_subgraph,
     is_bipartite,
+    is_forest,
     is_linear_forest,
+    is_path_graph,
     join,
     subdivide,
+)
+from oracles import (
+    reference_is_forest,
+    reference_is_linear_forest,
+    reference_is_path,
+    to_networkx,
 )
 
 SAMPLE = [
@@ -133,6 +144,22 @@ def test_linear_forest_recognition():
     assert is_linear_forest(disjoint_union(path_graph(3), path_graph(2)))
     assert not is_linear_forest(spider([1, 1, 1]))
     assert not is_linear_forest(cycle_graph(4))
+
+
+def test_forest_tests_over_masks_match_networkx():
+    nx = pytest.importorskip("networkx")
+    # every graph on <= 7 vertices, connected or not: the whole graph, each
+    # component and each one-vertex deletion
+    for level in enumerate_all_graphs(7):
+        for g in level:
+            full = (1 << g.n) - 1
+            masks = [None] + component_masks(g) + [full & ~(1 << v) for v in range(g.n)]
+            for mask in masks:
+                h = to_networkx(g, mask)
+                assert cyclomatic_number(g, mask) == len(nx.cycle_basis(h))
+                assert is_forest(g, mask) == reference_is_forest(h)
+                assert is_linear_forest(g, mask) == reference_is_linear_forest(h)
+                assert is_path_graph(g, mask) == reference_is_path(h)
 
 
 def test_girth_examples():
