@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from .graphs import Graph
 
-DEFAULT_CANON_LIMIT = 16
+CANON_LIMIT = 16
 
 
 class CanonicalLimitError(ValueError):
@@ -80,18 +80,15 @@ def _root(orbit: list[int], v: int) -> int:
 
 
 def canonical_code(
-    g: Graph,
-    limit: int = DEFAULT_CANON_LIMIT,
-    *,
-    automorphisms: list[tuple[int, ...]] | None = None,
+    g: Graph, *, automorphisms: list[tuple[int, ...]] | None = None
 ) -> bytes:
     """The canonical code of ``g``.  If ``automorphisms`` is a list, the
     automorphisms found by the search are appended to it, each as a tuple
     ``gamma`` with ``gamma[v]`` the image of vertex v; they generate a
     subgroup of Aut(g), often all of it."""
-    if g.n > limit:
+    if g.n > CANON_LIMIT:
         raise CanonicalLimitError(
-            f"canonical form limited to {limit} vertices, got {g.n}"
+            f"canonical form limited to {CANON_LIMIT} vertices, got {g.n}"
         )
     degs = sorted(g.degrees)
     prefix = bytes([g.n]) + g.m.to_bytes(2, "big") + bytes(degs)
@@ -178,7 +175,7 @@ def canonical_code(
     return prefix + best[0]
 
 
-def are_isomorphic(g: Graph, h: Graph, limit: int = DEFAULT_CANON_LIMIT) -> bool:
+def are_isomorphic(g: Graph, h: Graph) -> bool:
     if g.n != h.n or g.m != h.m or sorted(g.degrees) != sorted(h.degrees):
         return False
-    return canonical_code(g, limit) == canonical_code(h, limit)
+    return canonical_code(g) == canonical_code(h)

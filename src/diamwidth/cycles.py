@@ -183,6 +183,14 @@ def _find_one(g, anchor, lengths, avoid, budget):
     return ABSENT
 
 
+def _room(g, anchor) -> int:
+    """How many packed cycles the anchor's degrees allow: each takes two
+    edges at a vertex anchor v, or one more at each end of an edge anchor uv."""
+    if anchor[0] == "vertex":
+        return g.degree(anchor[1]) // 2
+    return min(g.degree(anchor[1]), g.degree(anchor[2])) - 1
+
+
 def _greedy_packing(g, anchor, quotas, budget):
     """Deterministic greedy disjoint packing: the cycles picked up to the
     first miss (it may satisfy the quota early), or BUDGET."""
@@ -242,14 +250,9 @@ def cycle_packing(
     total = sum(quotas.values())
     if total == 0:
         return CyclePacking(anchor, (), True)
-    # each packed cycle takes two edges at v, or one more at each end of uv
-    if anchor[0] == "vertex":
-        room = g.degree(anchor[1]) // 2
-    elif g.has_edge(anchor[1], anchor[2]):
-        room = min(g.degree(anchor[1]), g.degree(anchor[2])) - 1
-    else:
+    if anchor[0] == "edge" and not g.has_edge(anchor[1], anchor[2]):
         raise ValueError(f"anchor edge ({anchor[1]},{anchor[2]}) not present")
-    if room < total:
+    if _room(g, anchor) < total:
         return ABSENT
     core = _core_mask(anchor)
     lengths = sorted(quotas)
@@ -357,7 +360,8 @@ def vtype_or_etype_free(
     mode: str,
     budget: int | None = DEFAULT_BUDGET,
 ):
-    """Decide C^V / C^E subgraph-freeness by packing at every anchor.
+    """Decide C^V / C^E subgraph-freeness by packing at every anchor whose
+    degrees leave room for the bouquet.
 
     Returns a FreenessCertificate or BUDGET.  Equivalent to direct
     subgraph containment of the bouquet pattern, which needs at least one
@@ -367,6 +371,8 @@ def vtype_or_etype_free(
         raise ValueError("mode must be 'vertex' or 'edge'")
     if not lengths:
         raise ValueError("a bouquet needs at least one cycle length")
+    if min(lengths) < 3:
+        raise ValueError("cycle lengths must be >= 3")
     quotas: dict[int, int] = {}
     for l in lengths:
         quotas[l] = quotas.get(l, 0) + 1
@@ -376,6 +382,8 @@ def vtype_or_etype_free(
     else:
         anchors = [("edge", u, v) for u, v in g.edges()]
     for anchor in anchors:
+        if _room(g, anchor) < len(lengths):
+            continue  # cycle_packing would answer ABSENT at once
         res = cycle_packing(g, anchor, quotas, budget)
         if res is BUDGET:
             return BUDGET

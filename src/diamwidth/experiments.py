@@ -126,8 +126,9 @@ def run_experiment(plan: ExperimentPlan, budget: int | None = DEFAULT_BUDGET):
                         cell += "!FAIL"
                         all_ok = False
             else:  # width
-                if chk.get("mode", "bounds") == "exact" and g.n <= 24:
-                    cell = str(treedepth_exact(g).value)
+                if chk.get("mode", "bounds") == "exact":
+                    res = treedepth_exact(g)
+                    cell = str(res.value) if res.exact else "{}..{}".format(*res.bounds)
                 else:
                     lo, hi = treedepth_bounds(g)
                     cell = f"{lo}..{hi}"

@@ -38,6 +38,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import reduce
+from inspect import signature
 from itertools import combinations
 from typing import Callable
 
@@ -421,6 +422,10 @@ def parse_family_spec(text: str) -> FamilySpec:
             args.extend([int(l)] * int(k) if x else [int(k)])
         else:
             args.append(int(item))
+    try:
+        signature(_BUILDERS[name]).bind(*args)
+    except TypeError:
+        raise ValueError(f"family {name!r} does not take {len(args)} parameters") from None
     return FamilySpec(name, tuple(args))
 
 

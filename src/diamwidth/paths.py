@@ -1,8 +1,8 @@
 """Longest plain and longest induced path searches.
 
-Both searches are exhaustive below a caller-visible exact limit and degrade
-to a bounded heuristic above it; the returned witness always says which it
-got via the ``exact`` flag (a non-exact witness is a lower bound only).
+Both searches are exhaustive up to a fixed size limit and degrade to a
+bounded heuristic above it; the returned witness always says which it got
+via the ``exact`` flag (a non-exact witness is a lower bound only).
 
 The plain-path search runs a DP over (vertex-set, endpoint) states per
 component, which enumerates the same space as exhaustive DFS without the
@@ -18,7 +18,8 @@ from .graphs import ABSENT, BUDGET, BudgetExhausted, Graph, bit_indices, compone
 
 PLAIN_EXACT_LIMIT = 18
 INDUCED_EXACT_LIMIT = 20
-DEFAULT_STATE_BUDGET = 4_000_000
+STATE_BUDGET = 4_000_000
+HEURISTIC_NODES = 500_000
 
 
 @dataclass(frozen=True)
@@ -52,15 +53,11 @@ def verify_path_witness(g: Graph, w: PathWitness) -> bool:
     return True
 
 
-def longest_path(
-    g: Graph,
-    exact_limit: int = PLAIN_EXACT_LIMIT,
-    state_budget: int = DEFAULT_STATE_BUDGET,
-) -> PathWitness:
+def longest_path(g: Graph) -> PathWitness:
     """A longest path (most vertices); exact when within limits."""
     if g.n == 0:
         raise ValueError("longest path of the empty graph is undefined")
-    if g.n > exact_limit:
+    if g.n > PLAIN_EXACT_LIMIT:
         return _heuristic_path(g)
     best_mask = 1 << 0
     best_last = 0
@@ -75,7 +72,7 @@ def longest_path(
         while frontier:
             layers.update(frontier)
             states += len(frontier)
-            if states > state_budget:
+            if states > STATE_BUDGET:
                 return _heuristic_path(g)
             nxt: dict[int, int] = {}
             for mask, lasts in frontier.items():
@@ -100,11 +97,12 @@ def longest_path(
     return PathWitness(tuple(seq), "plain", True)
 
 
-def _heuristic_path(g: Graph, rounds: int = 60) -> PathWitness:
-    """Greedy DFS-deepening lower bound; deterministic."""
+def _heuristic_path(g: Graph) -> PathWitness:
+    """Greedy DFS-deepening lower bound from the 60 highest-degree starts;
+    deterministic."""
     best: tuple[int, ...] = (0,) if g.n else ()
     order = sorted(range(g.n), key=lambda v: (-g.degree(v), v))
-    for start in order[: min(rounds, g.n)]:
+    for start in order[:60]:
         path = [start]
         used = 1 << start
         while True:
@@ -123,32 +121,24 @@ def _heuristic_path(g: Graph, rounds: int = 60) -> PathWitness:
     return PathWitness(best, "plain", False)
 
 
-def longest_induced_path(
-    g: Graph,
-    exact_limit: int = INDUCED_EXACT_LIMIT,
-    node_budget: int | None = None,
-) -> PathWitness:
-    """A maximum-cardinality induced path when exact, else a maximal one.
-
-    Exact mode (n <= exact_limit and no budget hit) enumerates every induced
-    path by extending the tail; a candidate extension must be adjacent to
-    the tail and to no other path vertex.
-    """
-    if g.n == 0:
-        raise ValueError("longest induced path of the empty graph is undefined")
-    exact = g.n <= exact_limit
-    if not exact and node_budget is None:
-        node_budget = 500_000  # heuristic mode is a bounded best-effort search
-    best: list[int] = [0]
-    nodes = 0
+def _induced_search(g: Graph, starts, target: int, budget: int | None):
+    """Depth-first search over induced paths from each start in turn: the
+    tail is extended by a vertex adjacent to it and to no other path
+    vertex, one node per extension.  Returns (path, cut): the first path
+    with ``target`` vertices, else the first longest path seen, and whether
+    the budget stopped the search."""
     adj = g.adj
     path: list[int] = []
+    best: list[int] = []
+    nodes = 0
 
-    def extend(used: int, blocked: int) -> None:
-        # blocked = used + neighbourhoods of all non-tail path vertices
+    def extend(used: int, blocked: int) -> bool:
+        # blocked = neighbourhoods of all non-tail path vertices
         nonlocal nodes, best
         if len(path) > len(best):
             best = path[:]
+            if len(best) >= target:
+                return True
         tail = path[-1]
         cand = adj[tail] & ~blocked & ~used
         blocked |= adj[tail]
@@ -156,44 +146,7 @@ def longest_induced_path(
             low = cand & -cand
             cand ^= low
             nodes += 1
-            if node_budget is not None and nodes > node_budget:
-                raise BudgetExhausted
-            path.append(low.bit_length() - 1)
-            extend(used | low, blocked)
-            path.pop()
-
-    starts = range(g.n) if exact else sorted(
-        range(g.n), key=lambda v: (-g.degree(v), v)
-    )
-    try:
-        for s in starts:
-            path.append(s)
-            extend(1 << s, 0)
-            path.pop()
-    except BudgetExhausted:
-        exact = False
-    return PathWitness(tuple(best), "induced", exact)
-
-
-def find_induced_path(g: Graph, target_vertices: int, node_budget: int | None = None):
-    """First induced path with >= target_vertices vertices as a
-    ``PathWitness``, ``ABSENT`` after an exhaustive search, or ``BUDGET``."""
-    nodes = 0
-    adj = g.adj
-    path: list[int] = []
-
-    def extend(used: int, blocked: int) -> bool:
-        nonlocal nodes
-        if len(path) >= target_vertices:
-            return True
-        tail = path[-1]
-        cand = adj[tail] & ~blocked & ~used
-        blocked |= adj[tail]
-        while cand:
-            low = cand & -cand
-            cand ^= low
-            nodes += 1
-            if node_budget is not None and nodes > node_budget:
+            if budget is not None and nodes > budget:
                 raise BudgetExhausted
             path.append(low.bit_length() - 1)
             if extend(used | low, blocked):
@@ -202,11 +155,37 @@ def find_induced_path(g: Graph, target_vertices: int, node_budget: int | None = 
         return False
 
     try:
-        for s in range(g.n):
+        for s in starts:
             path.append(s)
             if extend(1 << s, 0):
-                return PathWitness(tuple(path), "induced", True)
+                break
             path.pop()
     except BudgetExhausted:
+        return best, True
+    return best, False
+
+
+def longest_induced_path(g: Graph) -> PathWitness:
+    """A maximum-cardinality induced path when g has at most
+    INDUCED_EXACT_LIMIT vertices; above that, the longest one a
+    HEURISTIC_NODES-node search finds, trying the highest-degree starts
+    first (``exact=False``)."""
+    if g.n == 0:
+        raise ValueError("longest induced path of the empty graph is undefined")
+    if g.n <= INDUCED_EXACT_LIMIT:
+        best, _ = _induced_search(g, range(g.n), g.n, None)
+        return PathWitness(tuple(best), "induced", True)
+    starts = sorted(range(g.n), key=lambda v: (-g.degree(v), v))
+    best, _ = _induced_search(g, starts, g.n, HEURISTIC_NODES)
+    return PathWitness(tuple(best), "induced", False)
+
+
+def find_induced_path(g: Graph, target_vertices: int, node_budget: int | None = None):
+    """First induced path with >= target_vertices vertices as a
+    ``PathWitness``, ``ABSENT`` after an exhaustive search, or ``BUDGET``."""
+    path, cut = _induced_search(g, range(g.n), target_vertices, node_budget)
+    if cut:
         return BUDGET
+    if path and len(path) >= target_vertices:
+        return PathWitness(tuple(path), "induced", True)
     return ABSENT

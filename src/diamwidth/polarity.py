@@ -15,6 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from .cycles import find_cycle_subgraph
 from .graphs import ABSENT, BUDGET, Graph, diameter, graph_from_edges
 
 
@@ -72,19 +73,6 @@ def max_common_neighbors(g: Graph) -> int:
     return best
 
 
-def find_c4(g: Graph):
-    """A 4-cycle subgraph (u, x, v, y), or ABSENT."""
-    for u in range(g.n):
-        for v in range(u + 1, g.n):
-            common = g.adj[u] & g.adj[v]
-            if common.bit_count() >= 2:
-                x = (common & -common).bit_length() - 1
-                rest = common ^ (1 << x)
-                y = (rest & -rest).bit_length() - 1
-                return (u, x, v, y)
-    return ABSENT
-
-
 @dataclass(frozen=True)
 class PolarityReport:
     passed: bool
@@ -116,11 +104,6 @@ def verify_polarity_claims(g: Graph, incidence_girth: int) -> PolarityReport:
     m = incidence_girth // 2
     forbidden = 2 * (m - 1)
     dbound = m - 1
-    if forbidden == 4:
-        witness = find_c4(g)
-    else:
-        from .cycles import find_cycle_subgraph
-
-        witness = find_cycle_subgraph(g, forbidden)
+    witness = find_cycle_subgraph(g, forbidden)
     diam = diameter(g)
     return PolarityReport(witness is ABSENT and diam <= dbound, forbidden, dbound, diam, witness)

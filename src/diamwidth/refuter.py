@@ -80,7 +80,8 @@ class _Search:
         self.size = L + 1 + self.W
         self.adj = [0] * self.size
         for i in range(L):
-            self._add_edge(i, i + 1)
+            self.adj[i] |= 1 << (i + 1)
+            self.adj[i + 1] |= 1 << i
         self.used_witnesses = 0
         self.nodes = 0
         self.obligations = [
@@ -91,17 +92,6 @@ class _Search:
         self.obligations.sort(key=lambda p: (p[1], p[0]))
         self.decisions: list[int] = []
         self.state_path: str | None = None
-
-    def _add_edge(self, a: int, b: int) -> None:
-        self.adj[a] |= 1 << b
-        self.adj[b] |= 1 << a
-
-    def _remove_edge(self, a: int, b: int) -> None:
-        self.adj[a] &= ~(1 << b)
-        self.adj[b] &= ~(1 << a)
-
-    def _has_edge(self, a: int, b: int) -> bool:
-        return bool((self.adj[a] >> b) & 1)
 
     def _dist_at_most(self, a: int, b: int, d: int) -> bool:
         adj = self.adj
@@ -145,75 +135,60 @@ class _Search:
     # -- choice enumeration ------------------------------------------------
 
     def _choices(self, i: int, j: int):
-        """Concrete edge sets (with witness allocation counts) satisfying
-        the obligation, deterministic order: existing witnesses before
-        fresh ones, shapes in template order."""
+        """Every connector template for (p_i, p_j) as the edges it still
+        needs, with the number of fresh witnesses it allocates; existing
+        witnesses before fresh ones, shapes in template order.  The only
+        place templates become edges."""
+        adj = self.adj
+        base = self.L + 1
+        used = self.used_witnesses
         out = []
-        for shape in _connector_shapes(i, j, self.d, self.L):
-            if shape[0] == "single":
-                _, a, b = shape
-                for w in range(self.used_witnesses):
-                    wid = self.L + 1 + w
-                    edges = [
-                        (wid, e) for e in (a, b) if not self._has_edge(wid, e)
-                    ]
+        for shape, a, b in _connector_shapes(i, j, self.d, self.L):
+            if shape == "single":  # a - w - b through one witness
+                for w in range(min(used + 1, self.W)):
+                    wid = base + w
+                    edges = [(wid, e) for e in (a, b) if not (adj[wid] >> e) & 1]
                     if edges:
-                        out.append((edges, 0))
-                if self.used_witnesses < self.W:
-                    wid = self.L + 1 + self.used_witnesses
-                    out.append(([(wid, a), (wid, b)], 1))
-            else:
-                _, a, b = shape
-                cands = list(range(self.used_witnesses))
-                fresh0 = self.used_witnesses
-                pairs = []
-                for x in cands:
-                    for y in cands:
-                        if x != y:
-                            pairs.append((x, y, 0))
-                if fresh0 < self.W:
-                    for x in cands:
-                        pairs.append((x, fresh0, 1))
-                        pairs.append((fresh0, x, 1))
-                    if fresh0 + 1 < self.W:
-                        pairs.append((fresh0, fresh0 + 1, 2))
-                for x, y, fresh in pairs:
-                    xid, yid = self.L + 1 + x, self.L + 1 + y
-                    edges = [
-                        (u, v)
-                        for (u, v) in ((xid, a), (xid, yid), (yid, b))
-                        if not self._has_edge(u, v)
-                    ]
-                    if edges:
-                        out.append((edges, fresh))
+                        out.append((edges, int(w == used)))
+                continue
+            # a - x - y - b through two witnesses
+            pairs = [(x, y, 0) for x in range(used) for y in range(used) if x != y]
+            if used < self.W:
+                for x in range(used):
+                    pairs += [(x, used, 1), (used, x, 1)]
+                if used + 1 < self.W:
+                    pairs.append((used, used + 1, 2))
+            for x, y, fresh in pairs:
+                xid, yid = base + x, base + y
+                edges = [
+                    (u, v) for u, v in ((xid, a), (xid, yid), (yid, b))
+                    if not (adj[u] >> v) & 1
+                ]
+                if edges:
+                    out.append((edges, fresh))
         return out
 
     # -- dead-shape prepass -------------------------------------------------
 
     def dead_obligation(self) -> tuple[int, int] | None:
         """An obligation all of whose templates close a C_{2r} against the
-        bare path; its existence refutes independently of the vocabulary."""
+        bare path; its existence refutes independently of the vocabulary.
+        On a probe with no witness placed yet, ``_choices`` lists every
+        template once, on fresh witnesses."""
         probe = _Search(self.r, self.d, self.L, None, 2)
+        adj = probe.adj
         for (i, j) in self.obligations:
-            all_dead = True
-            for shape in _connector_shapes(i, j, self.d, self.L):
-                if shape[0] == "single":
-                    _, a, b = shape
-                    wid = probe.L + 1
-                    edges = [(wid, a), (wid, b)]
-                else:
-                    _, a, b = shape
-                    xid, yid = probe.L + 1, probe.L + 2
-                    edges = [(xid, a), (xid, yid), (yid, b)]
+            for edges, _ in probe._choices(i, j):
                 for u, v in edges:
-                    probe._add_edge(u, v)
+                    adj[u] ^= 1 << v
+                    adj[v] ^= 1 << u
                 bad = any(probe._closes_forbidden_cycle(u, v) for u, v in edges)
                 for u, v in edges:
-                    probe._remove_edge(u, v)
+                    adj[u] ^= 1 << v
+                    adj[v] ^= 1 << u
                 if not bad:
-                    all_dead = False
                     break
-            if all_dead:
+            else:
                 return (i, j)
         return None
 
@@ -323,7 +298,7 @@ def refute_path(
         try:
             with open(state_path, "r", encoding="utf-8") as fh:
                 saved = json.load(fh)
-            if (saved.get("r"), saved.get("d"), saved.get("L")) == (r, d, L):
+            if [saved.get(k) for k in ("r", "d", "L", "vocabulary")] == [r, d, L, W]:
                 replay = list(saved.get("decisions", []))
         except (OSError, ValueError):
             replay = None

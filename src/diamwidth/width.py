@@ -85,8 +85,8 @@ class WidthResult:
 # -- treedepth ---------------------------------------------------------------
 
 
-def treedepth_exact(g: Graph, limit: int = TD_LIMIT) -> WidthResult:
-    if g.n > limit:
+def treedepth_exact(g: Graph) -> WidthResult:
+    if g.n > TD_LIMIT:
         lo, hi = treedepth_bounds(g)
         return WidthResult("td", None, None, False, (lo, hi))
     memo: dict[int, tuple[int, int]] = {}  # mask -> (td, root)
@@ -167,9 +167,9 @@ def treedepth_bounds(g: Graph, witness: PathWitness | None = None) -> tuple[int,
 # -- pathwidth ----------------------------------------------------------------
 
 
-def pathwidth_exact(g: Graph, limit: int = PW_LIMIT) -> WidthResult:
-    if g.n > limit:
-        raise SizeLimitError(f"pathwidth solver limited to {limit} vertices")
+def pathwidth_exact(g: Graph) -> WidthResult:
+    if g.n > PW_LIMIT:
+        raise SizeLimitError(f"pathwidth solver limited to {PW_LIMIT} vertices")
     n = g.n
     if n == 0:
         return WidthResult("pw", 0, (), True)
@@ -242,9 +242,9 @@ def _q_size(g: Graph, inside: int, v: int) -> int:
     return out.bit_count()
 
 
-def treewidth_exact(g: Graph, limit: int = TW_LIMIT) -> WidthResult:
-    if g.n > limit:
-        raise SizeLimitError(f"treewidth solver limited to {limit} vertices")
+def treewidth_exact(g: Graph) -> WidthResult:
+    if g.n > TW_LIMIT:
+        raise SizeLimitError(f"treewidth solver limited to {TW_LIMIT} vertices")
     n = g.n
     if n == 0:
         return WidthResult("tw", 0, TreeDecomposition((), ()), True)

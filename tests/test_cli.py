@@ -237,6 +237,11 @@ def test_check_rejects_forged_witnesses(tmp_path, capsys, monkeypatch):
     assert code == 1 and out == ""
 
 
+def test_construct_rejects_wrong_parameter_counts(capsys):
+    for spec in ("path:3,4", "wall:1,2,3"):
+        assert run(["construct", spec], capsys)[0] == 2
+
+
 def test_check_rejects_malformed_lengths(tmp_path, capsys):
     host = str(tmp_path / "host.g6")
     run(["construct", "cycle:6", "--out", host], capsys)

@@ -19,6 +19,7 @@ from diamwidth.families import (
     cycle_graph,
     gadget_cv_unbounded,
     gadget_samecyc,
+    path_graph,
     path_vertex_ids,
     spider,
 )
@@ -73,6 +74,9 @@ def test_packing_examples():
     for mode in ("vertex", "edge"):
         with pytest.raises(ValueError):
             vtype_or_etype_free(cv, [], mode)
+        for host in (cv, path_graph(2)):  # P2: no anchor has room for a cycle
+            with pytest.raises(ValueError):
+                vtype_or_etype_free(host, [6, 2], mode)
     # eleven 8-cycles block twelve, though the hub's degree and a blocking
     # set for both lengths leave room for 24 cycles
     near = cycle_bouquet([6] * 20 + [8] * 11, "vertex")

@@ -25,10 +25,11 @@ def test_plan_round_trip_and_validation():
     )
     again = ExperimentPlan.from_json(plan.to_json())
     assert again == plan
-    with pytest.raises(ValueError):
-        ExperimentPlan.from_json(
-            json.dumps({"family_template": "nope:{}", "values": [3], "checks": []})
-        )
+    for template in ("nope:{}", "path:{},4"):
+        with pytest.raises(ValueError):
+            ExperimentPlan.from_json(
+                json.dumps({"family_template": template, "values": [3], "checks": []})
+            )
     # checks run_experiment cannot run are rejected up front
     for bad in (
         {"kind": "bogus"},

@@ -258,10 +258,12 @@ def test_family_spec_round_trip():
         parse_family_spec("nonsense:3")
     with pytest.raises(ValueError):
         parse_family_spec("path")
-    for bad in ("cv:abc", "ce:6,", "cv:x6", "path:abc", "apexpath:x,101", "samecyc:40,B,x"):
+    for bad in ("cv:abc", "ce:6,", "cv:x6", "path:abc", "apexpath:x,101", "samecyc:40,B,x",
+                "path:3,4", "wall:1,2,3", "samecyc:40,B,5,1", "union:cycle:6+path:3,4"):
         with pytest.raises(ValueError):
             parse_family_spec(bad)
     assert parse_family_spec("apexpath:6,0110").args[1] == "0110"
+    assert parse_family_spec("spider:1,2,3,4,5").args == (1, 2, 3, 4, 5)  # any leg count
 
 
 def test_apex_path_is_join():

@@ -1,7 +1,7 @@
 import random
 
 from diamwidth.families import complete_graph, cycle_graph, path_graph, spider
-from diamwidth.graphs import ABSENT, graph_from_edges
+from diamwidth.graphs import ABSENT, BUDGET, graph_from_edges
 from diamwidth.paths import (
     PathWitness,
     find_induced_path,
@@ -61,10 +61,10 @@ def test_longest_path_matches_dfs_oracle():
 
 def test_heuristic_mode_is_flagged_lower_bound():
     g = random_graph(30, 0.15, 5)
-    w = longest_path(g, exact_limit=18)
+    w = longest_path(g)
     assert not w.exact
     assert verify_path_witness(g, w)
-    wi = longest_induced_path(g, exact_limit=18)
+    wi = longest_induced_path(g)
     assert not wi.exact
     assert verify_path_witness(g, wi)
 
@@ -73,6 +73,25 @@ def test_find_induced_path_absence_is_exhaustive():
     assert find_induced_path(complete_graph(6), 3) is ABSENT
     w = find_induced_path(spider([3, 3, 3]), 7)
     assert isinstance(w, PathWitness) and w.num_vertices == 7
+
+
+def test_find_induced_path_agrees_with_longest():
+    # the finder reaches a target exactly when the longest induced path has
+    # that many vertices, unless its budget runs out first
+    assert find_induced_path(graph_from_edges(0, []), 1) is ABSENT
+    for seed in range(96):
+        n = 1 + seed % 12
+        g = random_graph(n, (0.2, 0.35, 0.5, 0.7)[seed // 12 % 4], seed)
+        longest = longest_induced_path(g).num_vertices
+        for t in range(1, n + 2):
+            for budget in (None, 0, 1, 3, 10, 50):
+                w = find_induced_path(g, t, budget)
+                if budget is None:
+                    assert (w is ABSENT) == (t > longest), (seed, t)
+                if isinstance(w, PathWitness):
+                    assert w.num_vertices == t and w.exact and verify_path_witness(g, w)
+                else:
+                    assert w is BUDGET or (w is ABSENT and t > longest), (seed, t, budget)
 
 
 def test_witness_verifier_rejects_bad_paths():

@@ -2,7 +2,7 @@ import os
 
 from diamwidth.formats import to_graph6
 from diamwidth.graphs import graph_from_edges
-from diamwidth.refuter import refute_path, verify_model
+from diamwidth.refuter import _Search, refute_path, verify_model
 
 
 def test_c6_refutation_at_diameter_two():
@@ -56,6 +56,30 @@ def test_state_file_roundtrip(tmp_path):
     assert os.path.exists(state)
     out2 = refute_path(2, 2, 16, budget=3_000, state_path=state)
     assert out2.status in ("BudgetExhausted", "Consistent")
+
+
+def test_resume_needs_the_same_vocabulary(tmp_path):
+    # saved choice indices replay into one vocabulary's choice lists only
+    state = str(tmp_path / "refute-state.json")
+    fresh = refute_path(3, 3, 12, 200_000, 6)
+    assert (fresh.status, fresh.nodes) == ("Consistent", 135_686)
+    assert refute_path(3, 3, 12, 20, 1, state).status == "BudgetExhausted"
+    resumed = refute_path(3, 3, 12, 200_000, 6, state)
+    assert (resumed.status, resumed.nodes) == (fresh.status, fresh.nodes)
+    again = refute_path(3, 3, 12, 200_000, 6, state)  # same vocabulary: replayed
+    assert again.status == "Consistent" and again.nodes < fresh.nodes
+
+
+def test_dead_obligations_are_pinned():
+    # the 290 values of the grid below before connector edges were built
+    # in one place: at d = 2 every common neighbour of p_0 and p_{2r-2}
+    # closes a C_{2r}; nothing else is dead
+    for r in range(2, 7):
+        for d in (2, 3):
+            for L in range(2, 31):
+                dead = _Search(r, d, L, None, max(1, (3 * L) // d)).dead_obligation()
+                expect = (0, 2 * r - 2) if d == 2 and r >= 3 and L >= 2 * r - 2 else None
+                assert dead == expect, (r, d, L)
 
 
 def test_vocabulary_is_reported():

@@ -162,6 +162,6 @@ def test_fact_sandwich_on_exact_pairs():
 
 def test_size_limits():
     with pytest.raises(SizeLimitError):
-        pathwidth_exact(complete_graph(6), limit=5)
+        pathwidth_exact(complete_graph(21))
     with pytest.raises(SizeLimitError):
-        treewidth_exact(complete_graph(6), limit=5)
+        treewidth_exact(complete_graph(17))
