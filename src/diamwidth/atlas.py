@@ -10,9 +10,9 @@ with a machine-readable citation key and the fired-rule trace.  Every
 applicable rule is evaluated, so a registry inconsistency (a query firing
 both answers) raises instead of being masked by first-match ordering.
 
-Supergraph conditions that need containment search run under a node
-budget; exhaustion downgrades the answer to Open with a note, never to a
-wrong verdict.
+Supergraph conditions that need containment search share one node budget
+per query; exhaustion downgrades the answer to Open with a note, never to
+a wrong verdict.
 """
 
 from __future__ import annotations
@@ -24,12 +24,16 @@ from importlib import resources
 from typing import Callable
 
 from .canon import are_isomorphic
-from .containment import ABSENT, BUDGET, has_induced_subgraph
+from .containment import ABSENT, has_induced_subgraph
 from .cycles import cycle_packing, find_cycle_subgraph
 from .families import h_graph, path_graph
 from .graphs import (
+    DEFAULT_BUDGET,
+    Budget,
+    BudgetExhausted,
     Graph,
     bit_indices,
+    budgeted,
     component_masks,
     cyclomatic_number,
     induced_subgraph,
@@ -99,9 +103,9 @@ def subgraph_of_subdivided_star(g: Graph) -> bool:
     return is_forest(g) and sum(1 for d in g.degrees if d >= 3) <= 1
 
 
-def hgraph2_level(g: Graph, budget: int | None = None):
+def hgraph2_level(g: Graph, budget: int | Budget | None = DEFAULT_BUDGET):
     """Minimum l with g a subgraph of the spine-2 H-graph at level l, None
-    if there is none, or BUDGET if a level's search ran out first."""
+    if there is none, or BUDGET if the level searches ran out first."""
     if g.n == 0 or not is_forest(g):
         return None
     degs = g.degrees
@@ -109,14 +113,13 @@ def hgraph2_level(g: Graph, budget: int | None = None):
         return None
     from .containment import has_subgraph
 
-    for level in range(1, g.n + 1):
-        host = h_graph(2, level)
-        res = has_subgraph(host, g, budget)
-        if res is BUDGET:
-            return BUDGET
-        if res is not ABSENT:
-            return level
-    return None
+    def search(budget):
+        for level in range(1, g.n + 1):
+            if has_subgraph(h_graph(2, level), g, budget) is not ABSENT:
+                return level
+        return None
+
+    return budgeted(search, budget)
 
 
 def has_triangle(g: Graph) -> bool:
@@ -209,40 +212,23 @@ def subgraph_of_uniform_vtype(g: Graph) -> bool:
     return True
 
 
-# -- heavier supergraph checks (budgeted; None = unknown) ---------------------
+# -- heavier supergraph checks (spend from the query's Budget) -----------------
 
 
-def _some(values) -> bool | None:
-    """Three-valued any: True at the first true value (later values are
-    not computed), else None if some value is None, else False."""
-    unknown = False
-    for val in values:
-        if val:
-            return True
-        unknown = unknown or val is None
-    return None if unknown else False
-
-
-def _found(res, absent=ABSENT) -> bool | None:
-    """The predicate value of a budgeted search result: None if it ran out
-    of budget, else whether it found something other than ``absent``."""
-    return None if res is BUDGET else res is not absent
-
-
-def _packs_at_some_anchor(g: Graph, jobs, budget: int | None) -> bool | None:
+def _packs_at_some_anchor(g: Graph, jobs, budget: Budget) -> bool:
     """Whether ``cycle_packing`` fills some (anchor, quota) of ``jobs``,
-    tried in order; None if none does but some search ran out of budget."""
-    return _some(_found(cycle_packing(g, anchor, quota, budget)) for anchor, quota in jobs)
+    tried in order."""
+    return any(cycle_packing(g, anchor, quota, budget) is not ABSENT for anchor, quota in jobs)
 
 
-def contains_cv_12x6_12x8(g: Graph, budget: int | None) -> bool | None:
+def contains_cv_12x6_12x8(g: Graph, budget: Budget) -> bool:
     if g.n < 145:
         return False
     quota = {6: 12, 8: 12}
     return _packs_at_some_anchor(g, ((("vertex", v), quota) for v in range(g.n)), budget)
 
 
-def contains_ce_uniform(g: Graph, budget: int | None) -> bool | None:
+def contains_ce_uniform(g: Graph, budget: Budget) -> bool:
     if cyclomatic_number(g) < 6:
         return False
     # C^E_{k*[2l]} with k = 2(2l-3), for each l >= 3 that fits in g
@@ -255,7 +241,7 @@ def contains_ce_uniform(g: Graph, budget: int | None) -> bool | None:
     return _packs_at_some_anchor(g, jobs, budget)
 
 
-def contains_samecyc_pair(g: Graph, budget: int | None) -> bool | None:
+def contains_samecyc_pair(g: Graph, budget: Budget) -> bool:
     """A vertex- or edge-shared pair of cycles with lengths (4a, 4b),
     a,b >= 2, or (2l, 2l), l >= 4 -- the diameter-3 unbounded patterns."""
     if cyclomatic_number(g) < 2 or g.n < 14:  # smallest: edge-shared 8,8 pair
@@ -291,12 +277,12 @@ def _even6_pair(lengths: tuple[int, ...] | None) -> bool:
     )
 
 
-# Every registry predicate name, mapped to (graph, budget) -> True, False or
-# None (a budget-limited search left it undecided).  The registry may prefix
-# a name with "!" (negation) or "any_" (some graph of a minor set).  Entries
-# call recognizers through this module's globals so wrappers installed on
-# them (e.g. by a tracer) see every call.
-PREDICATES: dict[str, Callable[[Graph, int | None], bool | None]] = {
+# Every registry predicate name, mapped to (graph, query Budget) -> True or
+# False; a search that runs out of the Budget raises BudgetExhausted.  The
+# registry may prefix a name with "!" (negation) or "any_" (some graph of a
+# minor set).  Entries call recognizers through this module's globals so
+# wrappers installed on them (e.g. by a tracer) see every call.
+PREDICATES: dict[str, Callable[[Graph, Budget], bool]] = {
     "clique": lambda g, b: is_clique(g),
     "in_p2": lambda g, b: induced_subgraph_of_p2(g),
     "in_p4": lambda g, b: induced_subgraph_of_p4(g),
@@ -309,11 +295,11 @@ PREDICATES: dict[str, Callable[[Graph, int | None], bool | None]] = {
     "apex_linear_forest": lambda g, b: is_apex_linear_forest(g),
     "script_s": lambda g, b: in_script_s(g),
     "sstar_subgraph": lambda g, b: subgraph_of_subdivided_star(g),
-    "hgraph2_subgraph": lambda g, b: _found(hgraph2_level(g, b), None),
+    "hgraph2_subgraph": lambda g, b: hgraph2_level(g, b) is not None,
     "unicyclic": lambda g, b: cyclomatic_number(g) == 1,
     "c3_subgraph": lambda g, b: has_triangle(g),
     "c4_subgraph": lambda g, b: max_common_neighbors(g) >= 2,
-    "c6_subgraph": lambda g, b: _found(find_cycle_subgraph(g, 6, b)),
+    "c6_subgraph": lambda g, b: find_cycle_subgraph(g, 6, b) is not ABSENT,
     "is_c8": lambda g, b: is_cycle_graph_of(g, 8) is not None,
     "even_cycle_10_to_24": lambda g, b: is_cycle_graph_of(g) in range(10, 25, 2),
     "odd_cycle_ge5": lambda g, b: (
@@ -387,11 +373,12 @@ def _registry() -> dict:
 
 
 class _PredicateContext:
-    """Lazy, memoized predicate evaluation for one query; tri-state
-    (True / False / None for budget-limited containment checks).  A name
-    reads the first graph, an ``any_`` name every graph of the set."""
+    """Lazy, memoized predicate evaluation for one query under one Budget;
+    tri-state (True / False / None when the Budget ran out).  A name reads
+    the first graph; an ``any_`` name is True if some graph of the set
+    gives True, else None if some graph ran out of budget, else False."""
 
-    def __init__(self, graphs: list[Graph], budget: int | None):
+    def __init__(self, graphs: list[Graph], budget: Budget):
         self.graphs = graphs
         self.budget = budget
         self.cache: dict[str, bool | None] = {}
@@ -400,11 +387,16 @@ class _PredicateContext:
         negate = name.startswith("!")
         base = name[1:] if negate else name
         if base not in self.cache:
-            if base.startswith("any_"):
-                pred = PREDICATES[base[4:]]
-                self.cache[base] = _some(pred(h, self.budget) for h in self.graphs)
-            else:
-                self.cache[base] = PREDICATES[base](self.graphs[0], self.budget)
+            pred = PREDICATES[base.removeprefix("any_")]
+            val: bool | None = False
+            for h in self.graphs if base.startswith("any_") else self.graphs[:1]:
+                try:
+                    if pred(h, self.budget):
+                        val = True
+                        break
+                except BudgetExhausted:
+                    val = None
+            self.cache[base] = val
         val = self.cache[base]
         if val is None:
             return None
@@ -452,7 +444,8 @@ def classify(
     """Boundedness verdict for the (forbidden, relation, parameter, d) query.
 
     ``forbidden`` is a Graph, or a list of Graphs for the minor relation.
-    ``d`` is an integer >= 1 or math.inf for no diameter bound.
+    ``d`` is an integer >= 1 or math.inf for no diameter bound.  ``budget``
+    bounds the search nodes of all the query's predicates together.
     """
     if relation not in RELATIONS:
         raise ValueError(f"unknown relation {relation!r}")
@@ -479,7 +472,7 @@ def classify(
             )
             graphs = [reduced]
 
-    ctx = _PredicateContext(graphs, budget)
+    ctx = _PredicateContext(graphs, Budget(budget))
     fired, unknown = _evaluate_rules(ctx, relation, parameter, d)
     answers = {r["answer"] for r in fired}
     if "Bounded" in answers and "Unbounded" in answers:

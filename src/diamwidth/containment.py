@@ -1,7 +1,8 @@
 """Exact pattern containment: subgraph, induced subgraph, minor.
 
 Every search keeps the budget contract of ``graphs``: an ``Embedding``
-when found, ``ABSENT`` only after exhaustive search, else ``BUDGET``.
+when found, ``ABSENT`` only after exhaustive search, else ``BUDGET``; it
+takes a node limit or a caller's ``Budget``.
 
 The subgraph matcher is a backtracking search over candidate bitmasks with
 degree and adjacency-consistency pruning; pattern vertices are ordered by
@@ -12,17 +13,19 @@ The contract is exactness, not any particular search order.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import combinations
 
 from .graphs import (
     ABSENT,
-    BUDGET,
+    BUDGET,  # re-exported: callers read the contract from this module
     DEFAULT_BUDGET,
-    BudgetExhausted,
+    Budget,
     Graph,
     bit_indices,
+    budgeted,
     component_masks,
 )
-from .paths import PathWitness, find_induced_path
+from .paths import find_induced_path
 
 
 @dataclass(frozen=True)
@@ -95,7 +98,7 @@ def _pattern_order(pattern: Graph) -> list[int]:
     return order
 
 
-def _match(host: Graph, pattern: Graph, induced: bool, budget: int | None):
+def _match(host: Graph, pattern: Graph, induced: bool, budget: Budget):
     if pattern.n == 0:
         return Embedding("induced" if induced else "subgraph")
     if pattern.n > host.n or pattern.m > host.m:
@@ -126,7 +129,7 @@ def _match(host: Graph, pattern: Graph, induced: bool, budget: int | None):
 
     images = [0] * pattern.n
     used = 0
-    nodes = 0
+    spend = budget.spend
     k = 0
     cand_stack: list[int] = [0] * pattern.n
 
@@ -152,9 +155,7 @@ def _match(host: Graph, pattern: Graph, induced: bool, budget: int | None):
         low = cand & -cand
         cand_stack[k] = cand ^ low
         v = low.bit_length() - 1
-        nodes += 1
-        if budget is not None and nodes > budget:
-            return BUDGET
+        spend()
         images[k] = v
         if k + 1 == pattern.n:
             vm = [0] * pattern.n
@@ -166,40 +167,40 @@ def _match(host: Graph, pattern: Graph, induced: bool, budget: int | None):
         cand_stack[k] = candidates(k)
 
 
-def has_subgraph(host: Graph, pattern: Graph, budget: int | None = DEFAULT_BUDGET):
+def has_subgraph(host: Graph, pattern: Graph, budget: int | Budget | None = DEFAULT_BUDGET):
     """Embedding iff pattern is a subgraph of host; ABSENT is exhaustive."""
-    return _match(host, pattern, False, budget)
+    return budgeted(_match, host, pattern, False, budget)
 
 
-def has_induced_subgraph(host: Graph, pattern: Graph, budget: int | None = DEFAULT_BUDGET):
-    return _match(host, pattern, True, budget)
+def has_induced_subgraph(
+    host: Graph, pattern: Graph, budget: int | Budget | None = DEFAULT_BUDGET
+):
+    return budgeted(_match, host, pattern, True, budget)
 
 
 # -- minors ------------------------------------------------------------------
 
 
-def has_minor(host: Graph, pattern: Graph, budget: int | None = DEFAULT_BUDGET):
+def has_minor(host: Graph, pattern: Graph, budget: int | Budget | None = DEFAULT_BUDGET):
     """Branch-set search for a pattern minor; ABSENT only after exhaustion.
 
     Every model is found through its minimal form: each branch set is the
     union of its seed and of connecting paths grown to satisfy pattern
     edges, so enumerating seeds plus simple connecting paths is complete.
     """
+    return budgeted(_minor, host, pattern, budget)
+
+
+def _minor(host: Graph, pattern: Graph, budget: Budget):
     if pattern.n == 0:
         return Embedding("minor")
     if pattern.n > host.n or pattern.m > host.m:
         return ABSENT
     order = _pattern_order(pattern)
-    nodes = 0
+    spend = budget.spend
 
     assign = [-1] * host.n  # host vertex -> position in order, or -1
     sets: list[set[int]] = [set() for _ in range(pattern.n)]
-
-    def tick() -> None:
-        nonlocal nodes
-        nodes += 1
-        if budget is not None and nodes > budget:
-            raise BudgetExhausted
 
     # The search keeps every alternative alive through continuations:
     # satisfy(..., cont) succeeds only if some connector makes cont()
@@ -217,7 +218,7 @@ def has_minor(host: Graph, pattern: Graph, budget: int | None = DEFAULT_BUDGET):
         for seed in range(host.n):
             if assign[seed] != -1:
                 continue
-            tick()
+            spend()
             assign[seed] = k
             sets[k] = {seed}
             if satisfy(k, needed, 0, lambda: place(k + 1)):
@@ -259,7 +260,7 @@ def has_minor(host: Graph, pattern: Graph, budget: int | None = DEFAULT_BUDGET):
         for v in frontier:
             if assign[v] != -1 or v in path:
                 continue
-            tick()
+            spend()
             path.append(v)
             if any(host.has_edge(v, b) for b in sets[k2]):
                 for s in range(len(path) + 1):
@@ -275,11 +276,7 @@ def has_minor(host: Graph, pattern: Graph, budget: int | None = DEFAULT_BUDGET):
             path.pop()
         return False
 
-    try:
-        found = place(0)
-    except BudgetExhausted:
-        return BUDGET
-    if not found:
+    if not place(0):
         return ABSENT
     branch = [frozenset()] * pattern.n
     for pos, p in enumerate(order):
@@ -290,18 +287,17 @@ def has_minor(host: Graph, pattern: Graph, budget: int | None = DEFAULT_BUDGET):
 # -- the biclique-or-induced-path dichotomy witness --------------------------
 
 
-def find_biclique(host: Graph, r: int, s: int, budget: int | None = DEFAULT_BUDGET):
+def find_biclique(host: Graph, r: int, s: int, budget: int | Budget | None = DEFAULT_BUDGET):
     """K_{r,s} subgraph via common-neighbourhood enumeration."""
-    from itertools import combinations
+    return budgeted(_biclique, host, r, s, budget)
 
+
+def _biclique(host: Graph, r: int, s: int, budget: Budget):
     if r > s:
         r, s = s, r
     cands = [v for v in range(host.n) if host.degree(v) >= r]
-    nodes = 0
     for left in combinations(sorted(cands), r):
-        nodes += 1
-        if budget is not None and nodes > budget:
-            return BUDGET
+        budget.spend()
         common = (1 << host.n) - 1
         for v in left:
             common &= host.adj[v]
@@ -316,14 +312,15 @@ def find_biclique(host: Graph, r: int, s: int, budget: int | None = DEFAULT_BUDG
     return ABSENT
 
 
-def grs_witness(g: Graph, r: int, s: int, l: int, budget: int | None = DEFAULT_BUDGET):
+def grs_witness(
+    g: Graph, r: int, s: int, l: int, budget: int | Budget | None = DEFAULT_BUDGET
+):
     """A K_{r,s} subgraph ``Embedding`` if present, else an induced path on
     at least l vertices (``PathWitness``); ``ABSENT`` only when both
-    searches were exhaustive, else ``BUDGET``."""
-    emb = find_biclique(g, r, s, budget)
-    if isinstance(emb, Embedding):
-        return emb
-    path = find_induced_path(g, l, budget)
-    if isinstance(path, PathWitness):
-        return path
-    return BUDGET if BUDGET in (emb, path) else ABSENT
+    searches were exhaustive, else ``BUDGET``.  Both share one budget."""
+
+    def search(budget):
+        emb = find_biclique(g, r, s, budget)
+        return emb if emb is not ABSENT else find_induced_path(g, l, budget)
+
+    return budgeted(search, budget)

@@ -11,6 +11,8 @@ Before any enumeration, the anchor's degree bounds the packing: packed
 cycles share only the anchor, so each takes two edges at a vertex anchor
 v (a packing has at most deg(v) // 2 cycles) and one edge besides uv at
 each end of an edge anchor uv (at most min(deg u, deg v) - 1 cycles).
+The packing also needs the anchor's vertices once and each cycle's others,
+so a quota that needs more vertices than g has is Absent at once.
 
 For instances where full enumeration is infeasible (dense hosts put
 millions of anchored cycles through a clique) the solver then tries a
@@ -24,12 +26,10 @@ Absent.
 
 The anchored enumerators grow a path from the anchor and stop one vertex
 short: at ``length - 1`` path vertices the closing vertices are the
-candidates adjacent to the anchor, one mask.  Node accounting is per
-candidate vertex, as if the last level were a loop: the closing level
-adds the candidate count to ``nodes``, and when that would pass the
-budget only the lowest candidates the budget still pays for are tried,
-so a cut and the ``exhausted`` flag fall where a per-candidate loop would
-put them.
+candidates adjacent to the anchor, one mask.  That closing level pays for
+all its candidates in one step, one node each, as a last DFS level would.
+One budget pays for every stage of a packing decision: the greedy pass,
+each blocking bound, the enumerations and the combination search.
 """
 
 from __future__ import annotations
@@ -37,7 +37,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations
 
-from .graphs import ABSENT, BUDGET, DEFAULT_BUDGET, BudgetExhausted, Graph
+from .graphs import ABSENT, DEFAULT_BUDGET, Budget, BudgetExhausted, Graph, budgeted
 
 ENUMERATION_CAP = 60_000
 
@@ -55,18 +55,15 @@ def cycles_through_vertex(
     length: int,
     avoid: int = 0,
     limit: int | None = None,
-    budget: int | None = DEFAULT_BUDGET,
+    budget: int | Budget | None = DEFAULT_BUDGET,
 ):
-    """Simple cycles of exactly ``length`` vertices through v, avoiding the
-    ``avoid`` vertex mask.  Duplicates are removed by anchoring the cycle
-    at v and orienting toward the smaller neighbour.
-
-    Returns (cycles, exhausted) where exhausted is False iff a limit or
-    budget stopped the enumeration early.
-    """
+    """The simple cycles of exactly ``length`` vertices through v that avoid
+    the ``avoid`` vertex mask, in search order and at most ``limit`` of
+    them, or BUDGET.  Duplicates are removed by anchoring the cycle at v
+    and orienting toward the smaller neighbour."""
     if (avoid >> v) & 1 or length < 3:
-        return [], True
-    return _anchored_search(g, [v], length, avoid, True, limit, budget)
+        return []
+    return budgeted(_anchored_search, g, [v], length, avoid, True, limit, budget)
 
 
 def cycles_through_edge(
@@ -76,14 +73,15 @@ def cycles_through_edge(
     length: int,
     avoid: int = 0,
     limit: int | None = None,
-    budget: int | None = DEFAULT_BUDGET,
+    budget: int | Budget | None = DEFAULT_BUDGET,
 ):
-    """Simple cycles of exactly ``length`` vertices traversing edge uv."""
+    """The simple cycles of exactly ``length`` vertices traversing edge uv,
+    as ``cycles_through_vertex`` lists them."""
     if not g.has_edge(u, v):
         raise ValueError(f"anchor edge ({u},{v}) not present")
     if (avoid >> u) & 1 or (avoid >> v) & 1 or length < 3:
-        return [], True
-    return _anchored_search(g, [min(u, v), max(u, v)], length, avoid, False, limit, budget)
+        return []
+    return budgeted(_anchored_search, g, sorted((u, v)), length, avoid, False, limit, budget)
 
 
 def _anchored_search(g, path, length, avoid, oriented, limit, budget):
@@ -92,29 +90,17 @@ def _anchored_search(g, path, length, avoid, oriented, limit, budget):
     closing vertices are one mask; ``oriented`` keeps only those above
     path[1], so a vertex-anchored cycle is listed in one direction."""
     out: list[tuple[int, ...]] = []
-    nodes = 0
-    exhausted = True
+    spend = budget.spend
     adj = g.adj
     close = adj[path[0]]
     free = ~avoid
     closing = length - 1
 
     def dfs(last: int, used: int) -> bool:
-        nonlocal nodes, exhausted
+        # False once ``limit`` cycles are found
         cand = adj[last] & ~used & free
         if len(path) == closing:
-            k = cand.bit_count()
-            if budget is not None and nodes + k > budget:
-                # the budget runs out inside this level: close only the
-                # lowest candidates it still pays for, then stop
-                exhausted = False
-                keep = 0
-                for _ in range(budget - nodes):
-                    low = cand & -cand
-                    keep |= low
-                    cand ^= low
-                cand = keep
-            nodes += k
+            spend(cand.bit_count())
             hits = cand & close
             if oriented:
                 hits &= -(2 << path[1])
@@ -122,17 +108,13 @@ def _anchored_search(g, path, length, avoid, oriented, limit, budget):
                 low = hits & -hits
                 out.append((*path, low.bit_length() - 1))
                 if limit is not None and len(out) >= limit:
-                    exhausted = False
                     return False
                 hits ^= low
-            return exhausted
+            return True
         while cand:
             low = cand & -cand
             cand ^= low
-            nodes += 1
-            if budget is not None and nodes > budget:
-                exhausted = False
-                return False
+            spend()
             u = low.bit_length() - 1
             path.append(u)
             ok = dfs(u, used | low)
@@ -141,24 +123,22 @@ def _anchored_search(g, path, length, avoid, oriented, limit, budget):
                 return False
         return True
 
-    used = 0
-    for w in path:
-        used |= 1 << w
-    dfs(path[-1], used)
-    return out, exhausted
+    dfs(path[-1], sum(1 << w for w in path))
+    return out
 
 
-def find_cycle_subgraph(g: Graph, length: int, budget: int | None = DEFAULT_BUDGET):
+def find_cycle_subgraph(g: Graph, length: int, budget: int | Budget | None = DEFAULT_BUDGET):
     """Any C_length subgraph of g as a vertex tuple, ABSENT or BUDGET."""
-    for v in range(g.n):
-        # cycles whose minimum vertex is v: avoid all smaller ids
-        avoid = (1 << v) - 1
-        cyc, exhausted = cycles_through_vertex(g, v, length, avoid, limit=1, budget=budget)
-        if cyc:
-            return cyc[0]
-        if not exhausted:
-            return BUDGET
-    return ABSENT
+
+    def search(budget):
+        for v in range(g.n):
+            # cycles whose minimum vertex is v: avoid all smaller ids
+            cyc = cycles_through_vertex(g, v, length, (1 << v) - 1, 1, budget)
+            if cyc:
+                return cyc[0]
+        return ABSENT
+
+    return budgeted(search, budget)
 
 
 def _anchored_cycles(g, anchor, length, avoid, limit, budget):
@@ -174,13 +154,13 @@ def _core_mask(anchor) -> int:
 
 
 def _find_one(g, anchor, lengths, avoid, budget):
+    """The first anchored cycle of one of ``lengths`` avoiding ``avoid``,
+    or None."""
     for length in sorted(set(lengths)):
-        cyc, exhausted = _anchored_cycles(g, anchor, length, avoid, 1, budget)
+        cyc = _anchored_cycles(g, anchor, length, avoid, 1, budget)
         if cyc:
             return cyc[0]
-        if not exhausted:
-            return BUDGET
-    return ABSENT
+    return None
 
 
 def _room(g, anchor) -> int:
@@ -193,16 +173,14 @@ def _room(g, anchor) -> int:
 
 def _greedy_packing(g, anchor, quotas, budget):
     """Deterministic greedy disjoint packing: the cycles picked up to the
-    first miss (it may satisfy the quota early), or BUDGET."""
+    first miss (it may satisfy the quota early)."""
     core = _core_mask(anchor)
     used = 0
     picked: list[tuple[int, ...]] = []
     for length, count in sorted(quotas.items()):
         for _ in range(count):
             c = _find_one(g, anchor, (length,), used, budget)
-            if c is BUDGET:
-                return BUDGET
-            if c is ABSENT:
+            if c is None:
                 return picked
             picked.append(c)
             for w in c:
@@ -211,86 +189,81 @@ def _greedy_packing(g, anchor, quotas, budget):
     return picked
 
 
-def _blocking_bound(g, anchor, lengths, budget):
-    """The size of a greedy blocking set, or None if a search ran out of
-    budget.  Each pick is the highest-degree non-anchor vertex of an
-    anchored cycle that avoids the set so far; the set is complete when an
-    exhaustive search finds no such cycle, whatever the picks were."""
+def _blocking_bound(g, anchor, lengths, budget) -> int:
+    """The size of a greedy blocking set.  Each pick is the highest-degree
+    non-anchor vertex of an anchored cycle that avoids the set so far; the
+    set is complete when an exhaustive search finds no such cycle, whatever
+    the picks were."""
     core = _core_mask(anchor)
     blockers = 0
-    while True:
-        cyc = _find_one(g, anchor, lengths, blockers, budget)
-        if cyc is ABSENT:
-            return blockers.bit_count()
-        if cyc is BUDGET:
-            return None
+    while (cyc := _find_one(g, anchor, lengths, blockers, budget)) is not None:
         blockers |= 1 << max(
             (w for w in cyc if not (core >> w) & 1), key=lambda w: (g.degree(w), -w)
         )
+    return blockers.bit_count()
 
 
 def cycle_packing(
     g: Graph,
     anchor: tuple,
     quotas: dict[int, int],
-    budget: int | None = DEFAULT_BUDGET,
+    budget: int | Budget | None = DEFAULT_BUDGET,
 ):
     """Exact packing decision at an anchor.
 
     anchor: ("vertex", v) or ("edge", u, v).  quotas: cycle length ->
     required count (lengths >= 3, counts >= 0).  Returns a satisfied
-    CyclePacking, or ABSENT (anchor-degree test, blocking-set bound, or
-    exhausted combination search), or BUDGET.
+    CyclePacking; ABSENT from the anchor-degree or vertex-count test, a
+    blocking-set bound or the exhausted combination search; or BUDGET.
+    A pool that reaches ENUMERATION_CAP anchored cycles of one length also
+    answers BUDGET, the only way an unbudgeted call can.
     """
+    core = len(anchor) - 1
+    total, size = 0, core  # size: the anchor's vertices, and each cycle's others
     for length, count in quotas.items():
         if length < 3:
             raise ValueError("cycle lengths must be >= 3")
         if count < 0:
             raise ValueError("cycle counts must be >= 0")
-    total = sum(quotas.values())
+        total += count
+        size += count * (length - core)
     if total == 0:
         return CyclePacking(anchor, (), True)
     if anchor[0] == "edge" and not g.has_edge(anchor[1], anchor[2]):
         raise ValueError(f"anchor edge ({anchor[1]},{anchor[2]}) not present")
-    if _room(g, anchor) < total:
+    if _room(g, anchor) < total or size > g.n:
         return ABSENT
-    core = _core_mask(anchor)
-    lengths = sorted(quotas)
+    return budgeted(_pack, g, anchor, quotas, total, budget)
 
+
+def _pack(g, anchor, quotas, total, budget):
+    """``cycle_packing``'s searches once its degree and size tests pass."""
     picked = _greedy_packing(g, anchor, quotas, budget)
-    if picked is BUDGET:
-        return BUDGET
     if len(picked) >= total:
         return CyclePacking(anchor, tuple(picked), True)
 
     # each length's quota may be blocked on its own, and so may the total
+    lengths = sorted(quotas)
     checks = [([length], need) for length, need in quotas.items()]
     if len(lengths) > 1:
         checks.append((lengths, total))
     for check_lengths, need in checks:
-        bound = _blocking_bound(g, anchor, check_lengths, budget)
-        if bound is not None and bound < need:
+        if _blocking_bound(g, anchor, check_lengths, budget) < need:
             return ABSENT
 
     # full enumeration + exact combination search
-    pool: list[tuple[int, tuple[int, ...], int]] = []  # (length, cycle, mask)
+    core = _core_mask(anchor)
+    by_length = {}  # length -> [(cycle, its non-anchor vertex mask)]
     for length in lengths:
-        cyc, exhausted = _anchored_cycles(g, anchor, length, 0, ENUMERATION_CAP, budget)
-        if not exhausted:
-            return BUDGET
-        for c in cyc:
-            mask = 0
-            for w in c:
-                mask |= 1 << w
-            pool.append((length, c, mask & ~core))
+        cyc = _anchored_cycles(g, anchor, length, 0, ENUMERATION_CAP, budget)
+        if len(cyc) >= ENUMERATION_CAP:
+            raise BudgetExhausted  # the pool cap
+        by_length[length] = [(c, sum(1 << w for w in c) & ~core) for c in cyc]
 
-    by_length = {l: [(c, m) for (lc, c, m) in pool if lc == l] for l in lengths}
-    nodes = 0
-
+    spend = budget.spend
     acc: list[tuple[int, ...]] = []
 
     def search(li: int, need: int, start: int, used: int) -> bool:
-        nonlocal nodes
         if need == 0:
             li += 1
             if li == len(lengths):
@@ -301,19 +274,14 @@ def cycle_packing(
             c, m = cand[i]
             if m & used:
                 continue
-            nodes += 1
-            if budget is not None and nodes > budget:
-                raise BudgetExhausted
+            spend()
             acc.append(c)
             if search(li, need - 1, i + 1, used | m):
                 return True
             acc.pop()
         return False
 
-    try:
-        found = search(0, quotas[lengths[0]], 0, 0)
-    except BudgetExhausted:
-        return BUDGET
+    found = search(0, quotas[lengths[0]], 0, 0)
     return CyclePacking(anchor, tuple(acc), True) if found else ABSENT
 
 
@@ -358,10 +326,10 @@ def vtype_or_etype_free(
     g: Graph,
     lengths: list[int],
     mode: str,
-    budget: int | None = DEFAULT_BUDGET,
+    budget: int | Budget | None = DEFAULT_BUDGET,
 ):
     """Decide C^V / C^E subgraph-freeness by packing at every anchor whose
-    degrees leave room for the bouquet.
+    degrees leave room for the bouquet, all from one budget.
 
     Returns a FreenessCertificate or BUDGET.  Equivalent to direct
     subgraph containment of the bouquet pattern, which needs at least one
@@ -376,17 +344,22 @@ def vtype_or_etype_free(
     quotas: dict[int, int] = {}
     for l in lengths:
         quotas[l] = quotas.get(l, 0) + 1
+    key = tuple(sorted(lengths))
     anchors: list[tuple]
     if mode == "vertex":
         anchors = [("vertex", v) for v in range(g.n)]
     else:
         anchors = [("edge", u, v) for u, v in g.edges()]
-    for anchor in anchors:
-        if _room(g, anchor) < len(lengths):
-            continue  # cycle_packing would answer ABSENT at once
-        res = cycle_packing(g, anchor, quotas, budget)
-        if res is BUDGET:
-            return BUDGET
-        if isinstance(res, CyclePacking):
-            return FreenessCertificate(False, mode, tuple(sorted(lengths)), res)
-    return FreenessCertificate(True, mode, tuple(sorted(lengths)), None)
+    # cycle_packing would answer ABSENT at once at an anchor without room
+    anchors = [a for a in anchors if _room(g, a) >= len(lengths)]
+    if not anchors:
+        return FreenessCertificate(True, mode, key, None)
+
+    def search(budget):
+        for anchor in anchors:
+            res = cycle_packing(g, anchor, quotas, budget)
+            if res is not ABSENT:
+                return FreenessCertificate(False, mode, key, res)
+        return FreenessCertificate(True, mode, key, None)
+
+    return budgeted(search, budget)

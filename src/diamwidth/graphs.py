@@ -24,9 +24,9 @@ INFINITE = math.inf
 #
 # Every budgeted decision search returns its witness, ``ABSENT`` only after
 # an exhaustive search, or ``BUDGET`` when its node budget ran out first.  A
-# run-out budget is never coerced to absence or to a verdict.  Inside one
-# recursive search, running out raises ``BudgetExhausted``, and the search's
-# own entry point turns it into ``BUDGET``; the exception never escapes.
+# run-out budget is never coerced to absence or to a verdict.  One ``Budget``
+# bounds one call, whatever searches it runs, and ``budgeted`` is the one
+# rule for who converts running out (``BudgetExhausted``) into ``BUDGET``.
 
 
 class _Marker:
@@ -45,6 +45,32 @@ DEFAULT_BUDGET = 2_000_000
 
 class BudgetExhausted(Exception):
     """The node budget of the running search is spent."""
+
+
+@dataclass(slots=True)
+class Budget:
+    """Search nodes spent so far against a limit (``None``: unlimited)."""
+
+    limit: int | None = DEFAULT_BUDGET
+    spent: int = 0
+
+    def spend(self, k: int = 1) -> None:
+        """Pay for ``k`` nodes; raises BudgetExhausted past the limit."""
+        self.spent += k
+        if self.limit is not None and self.spent > self.limit:
+            raise BudgetExhausted
+
+
+def budgeted(search, *args):
+    """``search(*args)``, whose last argument is a budget.  A caller's Budget
+    is spent from, and BudgetExhausted reaches the call that created it; an
+    ``int`` or ``None`` becomes a new Budget, and running out returns BUDGET."""
+    if isinstance(args[-1], Budget):
+        return search(*args)
+    try:
+        return search(*args[:-1], Budget(args[-1]))
+    except BudgetExhausted:
+        return BUDGET
 
 
 def bit_indices(mask: int) -> Iterator[int]:

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .graphs import ABSENT, BUDGET, BudgetExhausted, Graph, bit_indices, component_masks
+from .graphs import ABSENT, DEFAULT_BUDGET, Budget, Graph, bit_indices, budgeted, component_masks
 
 PLAIN_EXACT_LIMIT = 18
 INDUCED_EXACT_LIMIT = 20
@@ -121,22 +121,20 @@ def _heuristic_path(g: Graph) -> PathWitness:
     return PathWitness(best, "plain", False)
 
 
-def _induced_search(g: Graph, starts, target: int, budget: int | None):
+def _induced_search(g: Graph, starts, target: int, best: list[int], budget: Budget):
     """Depth-first search over induced paths from each start in turn: the
     tail is extended by a vertex adjacent to it and to no other path
-    vertex, one node per extension.  Returns (path, cut): the first path
-    with ``target`` vertices, else the first longest path seen, and whether
-    the budget stopped the search."""
+    vertex, one node per extension.  Leaves in ``best`` the first path with
+    ``target`` vertices, else the first longest path seen; when the budget
+    runs out, ``best`` keeps the longest path seen so far."""
     adj = g.adj
     path: list[int] = []
-    best: list[int] = []
-    nodes = 0
+    spend = budget.spend
 
     def extend(used: int, blocked: int) -> bool:
         # blocked = neighbourhoods of all non-tail path vertices
-        nonlocal nodes, best
         if len(path) > len(best):
-            best = path[:]
+            best[:] = path
             if len(best) >= target:
                 return True
         tail = path[-1]
@@ -145,24 +143,18 @@ def _induced_search(g: Graph, starts, target: int, budget: int | None):
         while cand:
             low = cand & -cand
             cand ^= low
-            nodes += 1
-            if budget is not None and nodes > budget:
-                raise BudgetExhausted
+            spend()
             path.append(low.bit_length() - 1)
             if extend(used | low, blocked):
                 return True
             path.pop()
         return False
 
-    try:
-        for s in starts:
-            path.append(s)
-            if extend(1 << s, 0):
-                break
-            path.pop()
-    except BudgetExhausted:
-        return best, True
-    return best, False
+    for s in starts:
+        path.append(s)
+        if extend(1 << s, 0):
+            return
+        path.pop()
 
 
 def longest_induced_path(g: Graph) -> PathWitness:
@@ -172,20 +164,26 @@ def longest_induced_path(g: Graph) -> PathWitness:
     first (``exact=False``)."""
     if g.n == 0:
         raise ValueError("longest induced path of the empty graph is undefined")
+    best: list[int] = []
     if g.n <= INDUCED_EXACT_LIMIT:
-        best, _ = _induced_search(g, range(g.n), g.n, None)
+        _induced_search(g, range(g.n), g.n, best, Budget(None))
         return PathWitness(tuple(best), "induced", True)
     starts = sorted(range(g.n), key=lambda v: (-g.degree(v), v))
-    best, _ = _induced_search(g, starts, g.n, HEURISTIC_NODES)
+    budgeted(_induced_search, g, starts, g.n, best, HEURISTIC_NODES)  # keeps best if cut
     return PathWitness(tuple(best), "induced", False)
 
 
-def find_induced_path(g: Graph, target_vertices: int, node_budget: int | None = None):
+def find_induced_path(
+    g: Graph, target_vertices: int, budget: int | Budget | None = DEFAULT_BUDGET
+):
     """First induced path with >= target_vertices vertices as a
     ``PathWitness``, ``ABSENT`` after an exhaustive search, or ``BUDGET``."""
-    path, cut = _induced_search(g, range(g.n), target_vertices, node_budget)
-    if cut:
-        return BUDGET
-    if path and len(path) >= target_vertices:
-        return PathWitness(tuple(path), "induced", True)
-    return ABSENT
+
+    def search(budget):
+        best: list[int] = []
+        _induced_search(g, range(g.n), target_vertices, best, budget)
+        if best and len(best) >= target_vertices:
+            return PathWitness(tuple(best), "induced", True)
+        return ABSENT
+
+    return budgeted(search, budget)

@@ -23,10 +23,12 @@ Outcomes:
 * BudgetExhausted: the node budget ran out first.
 
 Search cost: ``nodes`` counts one per connector choice tried, and the
-budget bounds that count only.  The C_{2r} test after each choice is a
-DFS from the new edge (a, b) that stops at 2r - 1 path vertices: the
-cycle closes iff ``adj[last] & adj[a]`` has a vertex off the path, one
-mask test instead of a last DFS level.  It counts no nodes.
+budget bounds that count only.  A run resumed from a ``--state`` file
+counts from the nodes saved there, so one budget bounds the total.  The
+C_{2r} test after each choice is a DFS from the new edge (a, b) that stops
+at 2r - 1 path vertices: the cycle closes iff ``adj[last] & adj[a]`` has a
+vertex off the path, one mask test instead of a last DFS level.  It counts
+no nodes.
 """
 
 from __future__ import annotations
@@ -34,10 +36,9 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 
-from .graphs import ABSENT, BudgetExhausted, Graph
+from .graphs import ABSENT, DEFAULT_BUDGET, Budget, BudgetExhausted, Graph
 from .cycles import find_cycle_subgraph
 
-DEFAULT_REFUTE_BUDGET = 500_000
 _STATE_DUMP_EVERY = 50_000
 
 
@@ -68,7 +69,7 @@ def _connector_shapes(i: int, j: int, d: int, L: int):
 
 
 class _Search:
-    def __init__(self, r: int, d: int, L: int, budget: int | None, vocabulary: int):
+    def __init__(self, r: int, d: int, L: int, budget: Budget, vocabulary: int):
         if r < 2 or d not in (2, 3) or L < 2:
             raise ValueError("need r >= 2, d in {2,3}, L >= 2")
         self.r = r
@@ -83,7 +84,6 @@ class _Search:
             self.adj[i] |= 1 << (i + 1)
             self.adj[i + 1] |= 1 << i
         self.used_witnesses = 0
-        self.nodes = 0
         self.obligations = [
             (i, j)
             for j in range(d + 1, L + 1)
@@ -175,7 +175,7 @@ class _Search:
         bare path; its existence refutes independently of the vocabulary.
         On a probe with no witness placed yet, ``_choices`` lists every
         template once, on fresh witnesses."""
-        probe = _Search(self.r, self.d, self.L, None, 2)
+        probe = _Search(self.r, self.d, self.L, Budget(None), 2)
         adj = probe.adj
         for (i, j) in self.obligations:
             for edges, _ in probe._choices(i, j):
@@ -194,22 +194,26 @@ class _Search:
 
     # -- main search ---------------------------------------------------------
 
-    def run(self, replay: list[int] | None = None):
+    def run(self, replay: list[int]):
         dead = self.dead_obligation()
         if dead is not None:
-            return RefutationOutcome(
-                "Refuted", None, self.nodes, 0, dead, self.W
-            )
+            return RefutationOutcome("Refuted", None, self.budget.spent, 0, dead, self.W)
         try:
-            found = self._dfs(0, replay or [])
+            found = self._dfs(0, replay)
         except BudgetExhausted:
-            return RefutationOutcome("BudgetExhausted", None, self.nodes, 0, None, self.W)
+            # a cut inside the replayed prefix leaves the saved state as it was
+            k = len(self.decisions)
+            if k >= len(replay) or self.decisions != replay[:k]:
+                self._dump_state()
+            return RefutationOutcome(
+                "BudgetExhausted", None, self.budget.spent, 0, None, self.W
+            )
         if found:
             return RefutationOutcome(
-                "Consistent", self.model_graph(), self.nodes,
+                "Consistent", self.model_graph(), self.budget.spent,
                 self.used_witnesses, None, self.W,
             )
-        return RefutationOutcome("Refuted", None, self.nodes, 0, None, self.W)
+        return RefutationOutcome("Refuted", None, self.budget.spent, 0, None, self.W)
 
     def _dfs(self, k: int, replay: list[int]) -> bool:
         """Whether obligations k.. can all be met; raises BudgetExhausted
@@ -229,10 +233,7 @@ class _Search:
             start = 0
         for ci in range(start, len(choices)):
             edges, fresh = choices[ci]
-            self.nodes += 1
-            if self.budget is not None and self.nodes > self.budget:
-                self._dump_state()
-                raise BudgetExhausted
+            self.budget.spend()
             for u, v in edges:
                 adj[u] |= 1 << v
                 adj[v] |= 1 << u
@@ -252,7 +253,7 @@ class _Search:
             for u, v in edges:
                 adj[u] &= ~(1 << v)
                 adj[v] &= ~(1 << u)
-            if self.nodes % _STATE_DUMP_EVERY == 0:
+            if self.budget.spent % _STATE_DUMP_EVERY == 0:
                 self._dump_state()
         return False
 
@@ -272,7 +273,7 @@ class _Search:
                 "d": self.d,
                 "L": self.L,
                 "vocabulary": self.W,
-                "nodes": self.nodes,
+                "nodes": self.budget.spent,
                 "decisions": list(self.decisions),
             }
             with open(self.state_path, "w", encoding="utf-8") as fh:
@@ -283,7 +284,7 @@ def refute_path(
     r: int,
     d: int,
     L: int,
-    budget: int | None = DEFAULT_REFUTE_BUDGET,
+    budget: int | None = DEFAULT_BUDGET,
     vocabulary: int | None = None,
     state_path: str | None = None,
 ) -> RefutationOutcome:
@@ -291,17 +292,18 @@ def refute_path(
     induced path with L edges.  See the module docstring for the exact
     semantics of the three outcomes."""
     W = vocabulary if vocabulary is not None else max(1, (3 * L) // d)
-    search = _Search(r, d, L, budget, W)
-    search.state_path = state_path
-    replay = None
+    replay, spent = [], 0
     if state_path:
         try:
             with open(state_path, "r", encoding="utf-8") as fh:
                 saved = json.load(fh)
             if [saved.get(k) for k in ("r", "d", "L", "vocabulary")] == [r, d, L, W]:
                 replay = list(saved.get("decisions", []))
-        except (OSError, ValueError):
-            replay = None
+                spent = int(saved.get("nodes", 0))
+        except (OSError, TypeError, ValueError):
+            replay, spent = [], 0
+    search = _Search(r, d, L, Budget(budget, spent), W)
+    search.state_path = state_path
     return search.run(replay)
 
 

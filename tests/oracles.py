@@ -251,31 +251,26 @@ def atlas_graphs() -> list[Graph]:
 
 
 def reference_cycles_through_vertex(g: Graph, v: int, length: int, avoid: int = 0,
-                                    limit: int | None = None, budget: int | None = None):
+                                    limit: int | None = None):
     """The plain anchored-cycle DFS: one level per cycle vertex, the last
-    level testing one adjacency bit per leaf, one node per candidate."""
+    level testing one adjacency bit per leaf.  Returns at most ``limit``
+    cycles and the nodes tried, one per vertex put on the path."""
     out: list[tuple[int, ...]] = []
     nodes = 0
-    exhausted = True
     if (avoid >> v) & 1 or length < 3:
-        return out, True
+        return out, nodes
     blocked = avoid | (1 << v)
     path = [v]
 
     def dfs(last: int, used: int) -> bool:
-        nonlocal nodes, exhausted
+        nonlocal nodes
         if len(path) == length:
             if g.has_edge(last, v) and path[1] < path[-1]:
                 out.append(tuple(path))
-                if limit is not None and len(out) >= limit:
-                    exhausted = False
-                    return False
+                return limit is None or len(out) < limit
             return True
         for u in bit_indices(g.adj[last] & ~used & ~blocked):
             nodes += 1
-            if budget is not None and nodes > budget:
-                exhausted = False
-                return False
             path.append(u)
             ok = dfs(u, used | (1 << u))
             path.pop()
@@ -284,34 +279,29 @@ def reference_cycles_through_vertex(g: Graph, v: int, length: int, avoid: int = 
         return True
 
     dfs(v, 1 << v)
-    return out, exhausted
+    return out, nodes
 
 
 def reference_cycles_through_edge(g: Graph, u: int, v: int, length: int, avoid: int = 0,
-                                  limit: int | None = None, budget: int | None = None):
-    """The plain DFS for cycles of ``length`` vertices traversing edge uv."""
+                                  limit: int | None = None):
+    """The plain DFS for cycles of ``length`` vertices traversing edge uv,
+    with the nodes tried."""
     out: list[tuple[int, ...]] = []
     nodes = 0
-    exhausted = True
     if (avoid >> u) & 1 or (avoid >> v) & 1:
-        return out, True
+        return out, nodes
     a, b = (u, v) if u < v else (v, u)
     path = [a, b]
 
     def dfs(last: int, used: int) -> bool:
-        nonlocal nodes, exhausted
+        nonlocal nodes
         if len(path) == length:
             if g.has_edge(last, a):
                 out.append(tuple(path))
-                if limit is not None and len(out) >= limit:
-                    exhausted = False
-                    return False
+                return limit is None or len(out) < limit
             return True
         for w in bit_indices(g.adj[last] & ~used & ~avoid):
             nodes += 1
-            if budget is not None and nodes > budget:
-                exhausted = False
-                return False
             path.append(w)
             ok = dfs(w, used | (1 << w))
             path.pop()
@@ -320,7 +310,7 @@ def reference_cycles_through_edge(g: Graph, u: int, v: int, length: int, avoid: 
         return True
 
     dfs(b, (1 << a) | (1 << b))
-    return out, exhausted
+    return out, nodes
 
 
 def reference_packing(g: Graph, anchor: tuple, quotas: dict[int, int]):

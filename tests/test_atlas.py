@@ -37,7 +37,7 @@ from diamwidth.families import (
 )
 from diamwidth.canon import are_isomorphic
 from diamwidth.census import enumerate_all_graphs, enumerate_connected_graphs
-from diamwidth.graphs import disjoint_union, graph_from_edges
+from diamwidth.graphs import BudgetExhausted, disjoint_union, graph_from_edges
 from oracles import (
     reference_in_script_s,
     reference_is_apex_forest,
@@ -279,11 +279,25 @@ def test_misspelled_predicate_raises_on_load(tmp_path, monkeypatch):
         load_registry()
 
 
+def test_one_budget_bounds_a_whole_query():
+    # CV-12x6-12x8 at d = 2: its packing calls spend 144 nodes together and
+    # at most 10 each, so a budget per call would never run out
+    g = cycle_bouquet([6] * 12 + [8] * 12, "vertex")
+    v = classify(g, "subgraph", "td", 2, budget=80)
+    assert v.answer == "Open" and "budget-limited checks left undecided" in v.note
+    assert classify(g, "subgraph", "td", 2, budget=143).answer == "Open"
+    assert classify(g, "subgraph", "td", 2, budget=144).answer == "Unbounded"
+
+
 def test_any_prefix_is_three_valued(monkeypatch):
-    # any_X: True if some graph gives True, None if none does but some is
-    # undecided, False otherwise; a plain name reads the first graph only
-    by_order = {1: False, 2: None, 3: True}
-    monkeypatch.setitem(PREDICATES, "planar", lambda g, b: by_order[g.n])
+    # any_X: True if some graph gives True, None if none does but some ran
+    # out of budget, False otherwise; a plain name reads the first graph only
+    def stub(g, budget):
+        if g.n == 2:
+            raise BudgetExhausted
+        return g.n == 3
+
+    monkeypatch.setitem(PREDICATES, "planar", stub)
     p1, p2, p3 = path_graph(1), path_graph(2), path_graph(3)
     for graphs, want in (([p1], False), ([p1, p2], None), ([p2, p3, p1], True)):
         assert atlas._PredicateContext(graphs, None).eval("any_planar") is want

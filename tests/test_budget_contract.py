@@ -1,11 +1,16 @@
 """The budget contract of every budgeted decision search: its witness,
 ABSENT only after an exhaustive search, or BUDGET; a run-out budget never
-becomes a verdict, and BudgetExhausted never escapes an entry point."""
+becomes a verdict.  A search given a caller's Budget spends from it and
+raises BudgetExhausted; one given a limit returns BUDGET."""
 
+import importlib
+import inspect
+import pkgutil
 import random
 
 import pytest
 
+import diamwidth
 from diamwidth.atlas import hgraph2_level
 from diamwidth.containment import (
     find_biclique,
@@ -14,7 +19,13 @@ from diamwidth.containment import (
     has_minor,
     has_subgraph,
 )
-from diamwidth.cycles import cycle_packing, find_cycle_subgraph, vtype_or_etype_free
+from diamwidth.cycles import (
+    cycle_packing,
+    cycles_through_edge,
+    cycles_through_vertex,
+    find_cycle_subgraph,
+    vtype_or_etype_free,
+)
 from diamwidth.families import (
     complete_graph,
     cycle_bouquet,
@@ -23,7 +34,7 @@ from diamwidth.families import (
     path_graph,
     wall,
 )
-from diamwidth.graphs import BUDGET, graph_from_edges
+from diamwidth.graphs import BUDGET, Budget, BudgetExhausted, graph_from_edges
 from diamwidth.paths import find_induced_path
 from diamwidth.refuter import refute_path
 
@@ -37,7 +48,7 @@ def random_graph(n, p, seed):
 
 # Every public budgeted decision search, as budget -> result, on an instance
 # that needs more than one search node.  The cycle_packing instance runs
-# out inside the combination search at budgets 20 and below (its anchored
+# out inside the combination search below 74 nodes (its anchored
 # enumerations fit), so the sweep below reaches that search's cut too.
 SEARCHES = {
     "has_subgraph": lambda b: has_subgraph(random_graph(12, 0.5, 1), complete_graph(4), b),
@@ -47,6 +58,8 @@ SEARCHES = {
     "grs_witness": lambda b: grs_witness(cycle_graph(9), 2, 2, 8, b),
     "find_induced_path": lambda b: find_induced_path(path_graph(6), 6, b),
     "find_cycle_subgraph": lambda b: find_cycle_subgraph(cycle_graph(8), 8, b),
+    "cycles_through_vertex": lambda b: cycles_through_vertex(complete_graph(5), 0, 4, 0, None, b),
+    "cycles_through_edge": lambda b: cycles_through_edge(wall(2), 0, 1, 6, 0, None, b),
     "cycle_packing": lambda b: cycle_packing(
         random_graph(11, 0.6, 3), ("edge", 0, 2), {4: 4}, b
     ),
@@ -56,6 +69,29 @@ SEARCHES = {
     "hgraph2_level": lambda b: hgraph2_level(h_graph(2, 3), b),
 }
 
+# Budgeted functions that are not decision searches: classify answers Open,
+# refute_path BudgetExhausted, run_experiment a "budget" cell, and the
+# contains_* predicates spend from classify's query Budget.
+EXEMPT = {"classify", "refute_path", "run_experiment"}
+
+
+def test_every_budgeted_search_is_swept():
+    missing = []
+    for info in pkgutil.iter_modules(diamwidth.__path__):
+        module = importlib.import_module(f"diamwidth.{info.name}")
+        for name, fn in vars(module).items():
+            if (
+                inspect.isfunction(fn)
+                and fn.__module__ == module.__name__
+                and not name.startswith("_")
+                and "budget" in inspect.signature(fn).parameters
+                and name not in SEARCHES
+                and name not in EXEMPT
+                and not name.startswith("contains_")
+            ):
+                missing.append(f"{module.__name__}.{name}")
+    assert not missing
+
 
 @pytest.mark.parametrize("name", sorted(SEARCHES))
 def test_budget_one_is_budget_and_any_budget_is_budget_or_the_answer(name):
@@ -64,14 +100,37 @@ def test_budget_one_is_budget_and_any_budget_is_budget_or_the_answer(name):
     full = search(None)
     assert full is not BUDGET
     decided = False
-    for budget in range(60):
+    for budget in range(80):
         res = search(budget)
         assert res is BUDGET or res == full, (budget, res)
         decided = decided or res is not BUDGET
     assert decided
 
 
+@pytest.mark.parametrize("name", sorted(SEARCHES))
+def test_the_nodes_spent_are_the_exact_threshold(name):
+    # N = the nodes an unbudgeted run spends: N - 1 runs out, N decides
+    search = SEARCHES[name]
+    spent = Budget(None)
+    full = search(spent)
+    n = spent.spent
+    assert n > 1 and full == search(None)
+    assert search(n - 1) is BUDGET
+    with pytest.raises(BudgetExhausted):
+        search(Budget(n - 1))
+    assert search(n) == full
+    assert search(Budget(n)) == full
+
+
+def test_refuter_nodes_are_the_exact_threshold():
+    full = refute_path(2, 2, 8, budget=None)
+    n = full.nodes
+    assert (full.status, n) == ("Consistent", 50)
+    short = refute_path(2, 2, 8, budget=n - 1)
+    assert (short.status, short.nodes) == ("BudgetExhausted", n)
+    assert refute_path(2, 2, 8, budget=n) == full
+
+
 def test_refuter_budget_one_is_budget_exhausted():
     out = refute_path(2, 2, 8, budget=1)
     assert (out.status, out.nodes, out.witnesses_used) == ("BudgetExhausted", 2, 0)
-

@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from diamwidth import cycles
 from diamwidth.atlas import DEFAULT_CLASSIFY_BUDGET, contains_cv_12x6_12x8
 from diamwidth.containment import ABSENT, has_subgraph
 from diamwidth.cycles import (
@@ -15,6 +16,7 @@ from diamwidth.cycles import (
     vtype_or_etype_free,
 )
 from diamwidth.families import (
+    complete_graph,
     cycle_bouquet,
     cycle_graph,
     gadget_cv_unbounded,
@@ -23,7 +25,7 @@ from diamwidth.families import (
     path_vertex_ids,
     spider,
 )
-from diamwidth.graphs import graph_from_edges, induced_subgraph
+from diamwidth.graphs import BUDGET, Budget, BudgetExhausted, graph_from_edges, induced_subgraph
 
 from oracles import (
     reference_cycles_through_edge,
@@ -35,18 +37,14 @@ from oracles import (
 def test_cycle_enumeration_counts():
     cv = cycle_bouquet([6, 6], "vertex")
     hub = cv.find_label("hub")
-    cyc, exhausted = cycles_through_vertex(cv, hub, 6)
-    assert exhausted and len(cyc) == 2
+    assert len(cycles_through_vertex(cv, hub, 6)) == 2
     other = (hub + 1) % cv.n
-    cyc, _ = cycles_through_vertex(cv, other, 6)
-    assert len(cyc) == 1
+    assert len(cycles_through_vertex(cv, other, 6)) == 1
     ce = cycle_bouquet([6, 6], "edge")
     u, v = ce.find_label("hub"), ce.find_label("hub2")
-    cyc, _ = cycles_through_edge(ce, u, v, 6)
-    assert len(cyc) == 2
+    assert len(cycles_through_edge(ce, u, v, 6)) == 2
     c6 = cycle_graph(6)
-    cyc, _ = cycles_through_vertex(c6, 0, 6)
-    assert len(cyc) == 1  # no double counting of orientations
+    assert len(cycles_through_vertex(c6, 0, 6)) == 1  # no double counting of orientations
 
 
 def test_find_cycle_subgraph():
@@ -81,8 +79,36 @@ def test_packing_examples():
     # set for both lengths leave room for 24 cycles
     near = cycle_bouquet([6] * 20 + [8] * 11, "vertex")
     assert cycle_packing(near, ("vertex", near.find_label("hub")), {6: 12, 8: 12}) is ABSENT
-    assert contains_cv_12x6_12x8(near, DEFAULT_CLASSIFY_BUDGET) is False
+    assert contains_cv_12x6_12x8(near, Budget(DEFAULT_CLASSIFY_BUDGET)) is False
     assert vtype_or_etype_free(near, [6] * 12 + [8] * 12, "vertex").free
+
+
+def test_a_packing_needs_the_vertices_of_its_cycles():
+    # two 8-cycles sharing only the hub need 15 vertices: K14 has too few,
+    # though it has millions of anchored 8-cycles and room at every vertex
+    k14, k15 = complete_graph(14), complete_graph(15)
+    assert cycle_packing(k14, ("vertex", 0), {8: 2}, budget=None) is ABSENT
+    assert vtype_or_etype_free(k14, [8, 8], "vertex", None).free
+    res = cycle_packing(k15, ("vertex", 0), {8: 2}, budget=None)
+    assert isinstance(res, CyclePacking) and verify_packing(k15, res, {8: 2})
+    # at an edge anchor the two shared vertices count once
+    assert cycle_packing(k14, ("edge", 0, 1), {8: 2}, budget=None) is not ABSENT
+    assert cycle_packing(k14, ("edge", 0, 1), {8: 1, 7: 1}, budget=None) is not ABSENT
+    assert cycle_packing(k14, ("edge", 0, 1), {8: 2, 3: 1}, budget=None) is ABSENT
+
+
+def test_the_pool_cap_is_the_only_unbudgeted_budget(monkeypatch):
+    # the combination search decides this instance over its enumerated pool
+    rng = random.Random(3)
+    g = graph_from_edges(
+        11, [(u, v) for u in range(11) for v in range(u + 1, 11) if rng.random() < 0.6]
+    )
+    args = (g, ("edge", 0, 2), {4: 4})
+    assert isinstance(cycle_packing(*args, budget=None), CyclePacking)
+    monkeypatch.setattr(cycles, "ENUMERATION_CAP", 2)
+    assert cycle_packing(*args, budget=None) is BUDGET
+    with pytest.raises(BudgetExhausted):  # a caller's Budget: its creator converts
+        cycle_packing(*args, budget=Budget(None))
 
 
 def test_cv_gadget_packing_refuted():
@@ -138,8 +164,9 @@ def test_samecyc_restricted_side_has_no_c8():
 
 
 def test_enumerators_match_reference_dfs():
-    """Same (cycles, exhausted) as the plain DFS, budget cuts included: the
-    last level is counted in one step and must cut where the loop would."""
+    """The plain DFS's cycles, in its order and up to the limit, or BUDGET
+    only when a budget was given; an unlimited enumeration spends the
+    DFS's nodes, the last level's candidates included."""
     rng = random.Random(2024)
     for trial in range(60):
         n = 5 + trial % 8
@@ -153,14 +180,18 @@ def test_enumerators_match_reference_dfs():
                 for budget in (None, 0, 1, 2, 3, 5, 8, 13, 21, 34):
                     avoid = rng.getrandbits(n) & rng.getrandbits(n) if trial % 2 else 0
                     v = rng.randrange(n)
-                    assert cycles_through_vertex(g, v, length, avoid, limit, budget) == (
-                        reference_cycles_through_vertex(g, v, length, avoid, limit, budget)
-                    )
+                    runs = [(cycles_through_vertex, reference_cycles_through_vertex, (v,))]
                     if edges:
                         a, b = edges[rng.randrange(len(edges))]
-                        assert cycles_through_edge(g, b, a, length, avoid, limit, budget) == (
-                            reference_cycles_through_edge(g, b, a, length, avoid, limit, budget)
-                        )
+                        runs.append((cycles_through_edge, reference_cycles_through_edge, (b, a)))
+                    for enum, reference, anchor in runs:
+                        want, nodes = reference(g, *anchor, length, avoid, limit)
+                        got = enum(g, *anchor, length, avoid, limit, budget)
+                        assert got == want or (got is BUDGET and budget is not None)
+                        if limit is None and budget is None:
+                            spent = Budget(None)
+                            enum(g, *anchor, length, avoid, None, spent)
+                            assert spent.spent == nodes
 
 
 def test_packing_matches_brute_force():

@@ -66,8 +66,25 @@ def test_resume_needs_the_same_vocabulary(tmp_path):
     assert refute_path(3, 3, 12, 20, 1, state).status == "BudgetExhausted"
     resumed = refute_path(3, 3, 12, 200_000, 6, state)
     assert (resumed.status, resumed.nodes) == (fresh.status, fresh.nodes)
-    again = refute_path(3, 3, 12, 200_000, 6, state)  # same vocabulary: replayed
-    assert again.status == "Consistent" and again.nodes < fresh.nodes
+    # same vocabulary: replayed, counting on from the 100,000 nodes saved
+    again = refute_path(3, 3, 12, 200_000, 6, state)
+    assert (again.status, again.nodes) == ("Consistent", 135_710)
+
+
+def test_resume_spends_from_the_saved_nodes(tmp_path):
+    state = str(tmp_path / "refute-state.json")
+    first = refute_path(2, 2, 16, 3_000, state_path=state)
+    assert (first.status, first.nodes) == ("BudgetExhausted", 3_001)
+    with open(state, encoding="utf-8") as fh:
+        saved = fh.read()
+    # the budget is already spent: the cut comes inside the replay, and the
+    # saved state is kept for a larger budget
+    again = refute_path(2, 2, 16, 3_000, state_path=state)
+    assert (again.status, again.nodes) == ("BudgetExhausted", 3_002)
+    with open(state, encoding="utf-8") as fh:
+        assert fh.read() == saved
+    more = refute_path(2, 2, 16, 6_000, state_path=state)
+    assert (more.status, more.nodes) == ("BudgetExhausted", 6_001)
 
 
 def test_dead_obligations_are_pinned():
