@@ -12,17 +12,28 @@ automorphisms ``canonical_code`` found for the parent.  The first graph
 seen in each class is always built from such a least mask, so the levels
 and their representatives are those of the unpruned enumeration.  The
 unfiltered counts 1, 1, 2, 6, 21, 112 for n = 1..6 anchor correctness.
+
+A census grows only F-free graphs.  Freeness under subgraph, induced
+subgraph or minor is hereditary, so every parent G - v of an F-free
+child is F-free: enumerating with freeness as the ``keep`` predicate
+gives exactly the filtered levels, with the same representatives, from
+a fraction of the canonical-form calls.  Within a level, the exact
+width solver runs only on graphs whose width upper bound (a greedy
+min-degree elimination for tw and pw, the order for td) exceeds the
+running maximum; the witness is the first graph with a strictly larger
+width, so skipping the others changes no row.
 """
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass
 
 from .canon import canonical_code
 from .containment import ABSENT, has_induced_subgraph, has_minor, has_subgraph
 from .formats import to_graph6
-from .graphs import INFINITE, Graph, diameter, graph_from_edges
-from .width import treedepth_exact, pathwidth_exact, treewidth_exact
+from .graphs import INFINITE, Graph, bit_indices, diameter, graph_from_edges
+from .width import pathwidth_exact, pathwidth_of_order, treedepth_exact, treewidth_exact
 
 CENSUS_LIMIT = 9
 
@@ -58,14 +69,19 @@ def _orbit_minimal_masks(k: int, generators: list[tuple[int, ...]], lowest: int)
     return minimal
 
 
-def _enumerate(n_max: int, connected: bool) -> list[list[Graph]]:
+def _enumerate(
+    n_max: int, connected: bool, keep: Callable[[Graph], bool] | None = None
+) -> list[list[Graph]]:
     """levels[n] = graphs on n vertices up to isomorphism, connected ones
     only if ``connected`` (then the added vertex has a nonempty
-    neighbourhood), in canonical-code order."""
+    neighbourhood), in canonical-code order.  With a hereditary ``keep``
+    predicate, only the graphs it accepts are kept, and only those grow
+    the next level."""
     if n_max > CENSUS_LIMIT:
         raise ValueError(f"census enumeration limited to {CENSUS_LIMIT} vertices")
-    levels: list[list[Graph]] = [[], [graph_from_edges(1, [])]]
-    generators: list[list[tuple[int, ...]]] = [[]]  # per graph of the last level
+    k1 = graph_from_edges(1, [])
+    levels: list[list[Graph]] = [[], [k1] if keep is None or keep(k1) else []]
+    generators: list[list[tuple[int, ...]]] = [[] for _ in levels[1]]  # per graph of the last level
     lowest = 1 if connected else 0
     for n in range(2, n_max + 1):
         seen: dict[bytes, tuple[Graph, list[tuple[int, ...]]]] = {}
@@ -77,16 +93,21 @@ def _enumerate(n_max: int, connected: bool) -> list[list[Graph]]:
                 code = canonical_code(g, automorphisms=auts)
                 if code not in seen:
                     seen[code] = (g, auts)
-        codes = sorted(seen)
+        codes = [c for c in sorted(seen) if keep is None or keep(seen[c][0])]
         levels.append([seen[c][0] for c in codes])
         generators = [seen[c][1] for c in codes]
     return levels
 
 
-def enumerate_connected_graphs(n_max: int) -> list[list[Graph]]:
+def enumerate_connected_graphs(
+    n_max: int, keep: Callable[[Graph], bool] | None = None
+) -> list[list[Graph]]:
     """levels[n] = connected graphs on n vertices up to isomorphism,
-    in canonical-code order (levels[0] is empty)."""
-    return _enumerate(n_max, connected=True)
+    in canonical-code order (levels[0] is empty).  ``keep``, if given,
+    must be hereditary (true of G implies true of every connected
+    induced subgraph of G); the levels are then those of the unpruned
+    enumeration filtered by it, with the same representatives."""
+    return _enumerate(n_max, connected=True, keep=keep)
 
 
 def connected_graph_counts(n_max: int) -> list[int]:
@@ -123,6 +144,36 @@ def is_pattern_free(g: Graph, forbidden: Graph, relation: str) -> bool:
     return _CHECKERS[relation](g, forbidden, None) is ABSENT
 
 
+def _min_degree_elimination(g: Graph) -> tuple[int, list[int]]:
+    """Greedy min-degree elimination: its width, an upper bound on
+    treewidth (Bodlaender & Koster, Inf. Comput. 2010), and its order."""
+    adj = list(g.adj)
+    alive = (1 << g.n) - 1
+    width = 0
+    order = []
+    while alive:
+        v = min(bit_indices(alive), key=lambda u: (adj[u] & alive).bit_count())
+        alive &= ~(1 << v)
+        nb = adj[v] & alive
+        width = max(width, nb.bit_count())
+        for u in bit_indices(nb):
+            adj[u] |= nb & ~(1 << u)
+        order.append(v)
+    return width, order
+
+
+def _width_upper_bound(g: Graph, parameter: str) -> int:
+    """An upper bound on the exact width, valid by construction: the
+    greedy elimination width for tw, the vertex separation of the
+    reversed elimination order for pw, the order of the graph for td."""
+    if parameter == "td":
+        return g.n
+    width, order = _min_degree_elimination(g)
+    if parameter == "tw":
+        return width
+    return pathwidth_of_order(g, tuple(reversed(order)))
+
+
 def census(
     n_max: int,
     forbidden: Graph,
@@ -132,25 +183,31 @@ def census(
 ) -> list[CensusRow]:
     """One row per order n <= n_max over connected graphs of diameter <= d
     that avoid ``forbidden`` under ``relation``: count, max exact width,
-    and a graph6 witness attaining it."""
+    and a graph6 witness attaining it (the first graph of the level, in
+    canonical-code order, with that width)."""
     if relation not in _CHECKERS:
         raise ValueError(f"unknown relation {relation!r}")
     if parameter not in _SOLVERS:
         raise ValueError(f"unknown parameter {parameter!r}")
+    if not (d == INFINITE or (isinstance(d, int) and d >= 1)):
+        raise ValueError("d must be an integer >= 1 or infinity")
+    if n_max < 1:
+        raise ValueError("n_max must be >= 1")
     solver = _SOLVERS[parameter]
     rows = []
-    levels = enumerate_connected_graphs(n_max)
+    levels = enumerate_connected_graphs(
+        n_max, lambda g: is_pattern_free(g, forbidden, relation)
+    )
     for n in range(1, n_max + 1):
         count = 0
         best: int | None = None
         witness: Graph | None = None
         for g in levels[n]:
-            dia = diameter(g)
-            if dia == INFINITE or dia > d:
-                continue
-            if not is_pattern_free(g, forbidden, relation):
+            if diameter(g) > d:
                 continue
             count += 1
+            if best is not None and _width_upper_bound(g, parameter) <= best:
+                continue
             value = solver(g).value
             if best is None or value > best:
                 best = value

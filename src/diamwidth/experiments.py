@@ -55,6 +55,11 @@ class ExperimentPlan:
     @classmethod
     def from_json(cls, text: str) -> "ExperimentPlan":
         raw = json.loads(text)
+        if not isinstance(raw, dict):
+            raise ValueError("an experiment plan must be a JSON object")
+        missing = [key for key in ("family_template", "values") if key not in raw]
+        if missing:
+            raise ValueError(f"experiment plan lacks {' and '.join(missing)}")
         plan = cls(
             family_template=raw["family_template"],
             values=tuple(int(v) for v in raw["values"]),

@@ -297,7 +297,9 @@ def refute_path(
         try:
             with open(state_path, "r", encoding="utf-8") as fh:
                 saved = json.load(fh)
-            if [saved.get(k) for k in ("r", "d", "L", "vocabulary")] == [r, d, L, W]:
+            if isinstance(saved, dict) and (
+                [saved.get(k) for k in ("r", "d", "L", "vocabulary")] == [r, d, L, W]
+            ):
                 replay = list(saved.get("decisions", []))
                 spent = int(saved.get("nodes", 0))
         except (OSError, TypeError, ValueError):

@@ -4,7 +4,10 @@ import pytest
 
 from diamwidth.canon import canonical_code
 from diamwidth.census import (
+    _SOLVERS,
     _orbit_minimal_masks,
+    _width_upper_bound,
+    CensusRow,
     census,
     census_to_csv,
     connected_graph_counts,
@@ -12,7 +15,7 @@ from diamwidth.census import (
     enumerate_connected_graphs,
     is_pattern_free,
 )
-from diamwidth.families import complete_graph, path_graph
+from diamwidth.families import build_family, complete_graph, path_graph
 from diamwidth.formats import from_graph6, to_graph6
 from diamwidth.graphs import INFINITE, component_masks, diameter
 from diamwidth.width import treedepth_exact
@@ -94,3 +97,81 @@ def test_census_csv_schema():
     text = census_to_csv(rows)
     assert text.splitlines()[0] == "n,count,max_width,witness_graph6"
     assert len(text.splitlines()) == 4
+
+
+@pytest.fixture(scope="module")
+def unpruned():
+    return enumerate_connected_graphs(7)
+
+
+@pytest.mark.parametrize("spec, relation, n_max", [
+    ("cycle:4", "subgraph", 7),
+    ("path:4", "induced", 7),
+    ("path:1", "subgraph", 7),  # K1: nothing is free of it
+    ("cycle:5", "minor", 6),
+])
+def test_pruned_levels_are_the_filtered_levels(unpruned, spec, relation, n_max):
+    forbidden = build_family(spec)
+
+    def keep(g):
+        return is_pattern_free(g, forbidden, relation)
+
+    pruned = enumerate_connected_graphs(n_max, keep)
+    assert len(pruned) == n_max + 1
+    for n in range(n_max + 1):
+        expected = [to_graph6(g) for g in unpruned[n] if keep(g)]
+        assert [to_graph6(g) for g in pruned[n]] == expected
+    if spec == "path:1":
+        assert not any(pruned)
+
+
+def _reference_rows(levels, n_max, free, d, width):
+    """Unpruned levels, filtered afterwards, the exact width of every graph."""
+    rows = []
+    for n in range(1, n_max + 1):
+        kept = [g for g in levels[n] if free[to_graph6(g)] and diameter(g) <= d]
+        widths = [width[to_graph6(g)] for g in kept]
+        best = max(widths, default=None)
+        witness = to_graph6(kept[widths.index(best)]) if kept else None
+        rows.append(CensusRow(n, len(kept), best, witness))
+    return rows
+
+
+def test_census_matches_the_unpruned_reference(unpruned):
+    graphs = [g for level in unpruned[:7] for g in level]
+    exact = {p: {to_graph6(g): solver(g).value for g in graphs} for p, solver in _SOLVERS.items()}
+    for spec in ("cycle:4", "path:4", "clique:3"):
+        forbidden = build_family(spec)
+        for relation in ("subgraph", "induced", "minor"):
+            free = {to_graph6(g): is_pattern_free(g, forbidden, relation) for g in graphs}
+            for parameter in ("td", "pw", "tw"):
+                for d in (1, 2, 3, INFINITE):
+                    got = census(6, forbidden, relation, d, parameter)
+                    want = _reference_rows(unpruned, 6, free, d, exact[parameter])
+                    assert census_to_csv(got) == census_to_csv(want), (spec, relation, parameter, d)
+
+
+def test_width_upper_bounds_hold(unpruned):
+    for level in unpruned:
+        for g in level:
+            for parameter, solver in _SOLVERS.items():
+                assert _width_upper_bound(g, parameter) >= solver(g).value
+
+
+@pytest.mark.parametrize("parameter", ["pw", "tw"])
+def test_census_solves_only_where_the_maximum_can_rise(monkeypatch, parameter):
+    calls = []
+    solver = _SOLVERS[parameter]
+    monkeypatch.setitem(_SOLVERS, parameter, lambda g: calls.append(g) or solver(g))
+    rows = census(6, path_graph(8), "subgraph", INFINITE, parameter)
+    assert [r.count for r in rows] == [1, 1, 2, 6, 21, 112]
+    assert [r.max_width for r in rows] == [0, 1, 2, 3, 4, 5]
+    assert len(calls) < 36  # of 143 graphs: 31 for pw, 16 for tw
+
+
+def test_census_rejects_bad_diameter_and_order():
+    for d in (0, -1, 2.5):
+        with pytest.raises(ValueError, match="d must be an integer >= 1 or infinity"):
+            census(4, complete_graph(3), "subgraph", d, "td")
+    with pytest.raises(ValueError, match="n_max"):
+        census(0, complete_graph(3), "subgraph", 2, "td")

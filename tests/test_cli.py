@@ -112,6 +112,14 @@ def test_census_cli(capsys):
     assert out.splitlines()[0] == "n,count,max_width,witness_graph6"
 
 
+def test_census_rejects_bad_diameter_and_order(capsys):
+    base = ["census", "--forbidden", "clique:3"]
+    assert main(base + ["--n-max", "4", "--diameter", "0"]) == 2
+    assert "d must be an integer >= 1 or infinity" in capsys.readouterr().err
+    assert main(base + ["--n-max", "0", "--diameter", "2"]) == 2
+    assert "n_max must be >= 1" in capsys.readouterr().err
+
+
 def test_refute_cli(capsys):
     code, out = run(
         ["refute", "--r", "3", "--d", "2", "--length", "12"], capsys
@@ -193,6 +201,18 @@ def test_experiment_cli(tmp_path, capsys):
     )
     code, _ = run(["experiment", "--plan", str(plan)], capsys)
     assert code == 1
+
+
+def test_experiment_rejects_malformed_plans(tmp_path, capsys):
+    plan = tmp_path / "plan.json"
+    for raw, message in (
+        ([1], "must be a JSON object"),
+        ({"values": [3]}, "lacks family_template"),
+        ({"family_template": "path:{}"}, "lacks values"),
+    ):
+        plan.write_text(json.dumps(raw))
+        assert main(["experiment", "--plan", str(plan)]) == 2
+        assert message in capsys.readouterr().err
 
 
 def test_determinism_byte_identical(tmp_path, capsys):

@@ -43,6 +43,18 @@ def test_plan_round_trip_and_validation():
             )
 
 
+def test_plan_must_be_an_object_with_template_and_values():
+    for raw, message in (
+        ([1], "an experiment plan must be a JSON object"),
+        ("gadget-cv:{}", "an experiment plan must be a JSON object"),
+        ({"values": [3]}, "experiment plan lacks family_template"),
+        ({"family_template": "path:{}"}, "experiment plan lacks values"),
+        ({}, "experiment plan lacks family_template and values"),
+    ):
+        with pytest.raises(ValueError, match=message):
+            ExperimentPlan.from_json(json.dumps(raw))
+
+
 def test_cv_gadget_sweep():
     plan = ExperimentPlan(
         "gadget-cv:{}",

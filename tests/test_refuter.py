@@ -87,6 +87,14 @@ def test_resume_spends_from_the_saved_nodes(tmp_path):
     assert (more.status, more.nodes) == ("BudgetExhausted", 6_001)
 
 
+def test_a_state_file_that_is_not_an_object_starts_fresh(tmp_path):
+    state = tmp_path / "refute-state.json"
+    for text in ("[1, 2]", "7", "not json"):
+        state.write_text(text)
+        out = refute_path(2, 2, 16, 3_000, state_path=str(state))
+        assert (out.status, out.nodes) == ("BudgetExhausted", 3_001)
+
+
 def test_dead_obligations_are_pinned():
     # the 290 values of the grid below before connector edges were built
     # in one place: at d = 2 every common neighbour of p_0 and p_{2r-2}
