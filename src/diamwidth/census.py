@@ -18,10 +18,10 @@ subgraph or minor is hereditary, so every parent G - v of an F-free
 child is F-free: enumerating with freeness as the ``keep`` predicate
 gives exactly the filtered levels, with the same representatives, from
 a fraction of the canonical-form calls.  Within a level, the exact
-width solver runs only on graphs whose width upper bound (a greedy
-min-degree elimination for tw and pw, the order for td) exceeds the
-running maximum; the witness is the first graph with a strictly larger
-width, so skipping the others changes no row.
+width solver runs only on graphs whose width upper bound (the greedy
+min-degree elimination bound of ``width`` for tw and pw, the order for
+td) exceeds the running maximum; the witness is the first graph with a
+strictly larger width, so skipping the others changes no row.
 """
 
 from __future__ import annotations
@@ -32,8 +32,8 @@ from dataclasses import dataclass
 from .canon import canonical_code
 from .containment import ABSENT, has_induced_subgraph, has_minor, has_subgraph
 from .formats import to_graph6
-from .graphs import INFINITE, Graph, bit_indices, diameter, graph_from_edges
-from .width import pathwidth_exact, pathwidth_of_order, treedepth_exact, treewidth_exact
+from .graphs import INFINITE, Graph, diameter, graph_from_edges
+from .width import _width_upper_bound, pathwidth_exact, treedepth_exact, treewidth_exact
 
 CENSUS_LIMIT = 9
 
@@ -142,36 +142,6 @@ _SOLVERS = {
 
 def is_pattern_free(g: Graph, forbidden: Graph, relation: str) -> bool:
     return _CHECKERS[relation](g, forbidden, None) is ABSENT
-
-
-def _min_degree_elimination(g: Graph) -> tuple[int, list[int]]:
-    """Greedy min-degree elimination: its width, an upper bound on
-    treewidth (Bodlaender & Koster, Inf. Comput. 2010), and its order."""
-    adj = list(g.adj)
-    alive = (1 << g.n) - 1
-    width = 0
-    order = []
-    while alive:
-        v = min(bit_indices(alive), key=lambda u: (adj[u] & alive).bit_count())
-        alive &= ~(1 << v)
-        nb = adj[v] & alive
-        width = max(width, nb.bit_count())
-        for u in bit_indices(nb):
-            adj[u] |= nb & ~(1 << u)
-        order.append(v)
-    return width, order
-
-
-def _width_upper_bound(g: Graph, parameter: str) -> int:
-    """An upper bound on the exact width, valid by construction: the
-    greedy elimination width for tw, the vertex separation of the
-    reversed elimination order for pw, the order of the graph for td."""
-    if parameter == "td":
-        return g.n
-    width, order = _min_degree_elimination(g)
-    if parameter == "tw":
-        return width
-    return pathwidth_of_order(g, tuple(reversed(order)))
 
 
 def census(

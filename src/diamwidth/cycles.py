@@ -37,7 +37,17 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations
 
-from .graphs import ABSENT, DEFAULT_BUDGET, Budget, BudgetExhausted, Graph, budgeted
+from .graphs import (
+    ABSENT,
+    DEFAULT_BUDGET,
+    Budget,
+    BudgetExhausted,
+    Graph,
+    bipartition,
+    bit_indices,
+    budgeted,
+    component_masks,
+)
 
 ENUMERATION_CAP = 60_000
 
@@ -127,8 +137,33 @@ def _anchored_search(g, path, length, avoid, oriented, limit, budget):
     return out
 
 
+def _bipartite_lacks_cycle(g: Graph, length: int) -> bool:
+    """Whether g is bipartite and so has no C_length: none if the length
+    is odd, and a C_2m lies in one component of the 2-core (vertices of
+    degree < 2 stripped) with m vertices on each side."""
+    sides = bipartition(g)
+    if sides is None:
+        return False
+    if length % 2:
+        return True
+    core = (1 << g.n) - 1
+    while True:
+        low = sum(1 << v for v in bit_indices(core) if (g.adj[v] & core).bit_count() < 2)
+        if not low:
+            break
+        core &= ~low
+    return all(
+        min((comp & side).bit_count() for side in sides) < length // 2
+        for comp in component_masks(g, core)
+    )
+
+
 def find_cycle_subgraph(g: Graph, length: int, budget: int | Budget | None = DEFAULT_BUDGET):
-    """Any C_length subgraph of g as a vertex tuple, ABSENT or BUDGET."""
+    """Any C_length subgraph of g as a vertex tuple, ABSENT or BUDGET.
+    A bipartite host that is too small on one side is settled before the
+    search."""
+    if _bipartite_lacks_cycle(g, length):
+        return ABSENT
 
     def search(budget):
         for v in range(g.n):

@@ -192,18 +192,18 @@ def edgeless_graph(n: int) -> Graph:
 def component_masks(g: Graph, within: int | None = None) -> list[int]:
     """Vertex-set bitmasks of the connected components (of ``within``)."""
     todo = within if within is not None else (1 << g.n) - 1
+    adj = g.adj
     comps = []
     while todo:
-        seed = todo & -todo
-        comp = seed
-        frontier = seed
+        comp = frontier = todo & -todo
         while frontier:
             grow = 0
-            for v in bit_indices(frontier):
-                grow |= g.adj[v]
-            grow &= todo & ~comp
-            comp |= grow
-            frontier = grow
+            while frontier:
+                low = frontier & -frontier
+                grow |= adj[low.bit_length() - 1]
+                frontier ^= low
+            frontier = grow & todo & ~comp
+            comp |= frontier
         comps.append(comp)
         todo &= ~comp
     return comps

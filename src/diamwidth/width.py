@@ -8,14 +8,29 @@ decomposition for treewidth.  Above the size limits the treedepth entry
 point degrades to (lower, upper) bounds from the longest path, never to a
 silent heuristic value.
 
-* treedepth: memoized recursion over connected vertex subsets,
-  td(G) = 1 + min_v td(G - v) on connected G, max over components
-  otherwise.
-* pathwidth: subset DP over vertex orderings; the cost of a prefix S is
-  the number of its vertices with a neighbour outside S.
-* treewidth: subset DP over elimination orderings; eliminating v last
-  within S costs the number of vertices outside S u {v} reachable from v
-  through S.
+Each solver decides "width <= k" for k upward from a lower bound and
+stops at the first feasible k, or at a greedy upper bound whose own
+order is the certificate (Bodlaender, Fomin, Koster, Kratsch & Thilikos,
+*On exact algorithms for treewidth*, TALG 2012).  Greedy min-degree
+elimination gives the bounds: its width bounds treewidth from above, and
+the degeneracy (the same elimination without fill-in) from below.
+
+* treewidth and pathwidth: one depth-first search over the sets S of
+  vertices placed so far, which visits each set once and adds v to S
+  only while the step costs at most k.  For treewidth a step eliminates
+  v after S and costs the number of vertices outside S u {v} reachable
+  from v through S; for pathwidth it costs the vertex separation of
+  S u {v}, the number of its vertices with a neighbour outside it.  The
+  upper bound for pathwidth is the separation of the reversed greedy
+  order, the lower bound its treewidth.
+* treedepth: a recursive decision over connected vertex sets C from
+  k = degeneracy + 1: td(C) <= k iff C has at most k vertices (a chain)
+  or some root v leaves components of treedepth <= k - 1.  Each set
+  remembers the largest k it failed and the least k it passed, with
+  that root, from which the elimination forest is rebuilt.  Roots are
+  tried by descending degree in C, and only while the root's degree
+  covers the edges that height-(k - 1) forests on the other |C| - 1
+  vertices cannot hold.
 """
 
 from __future__ import annotations
@@ -82,6 +97,41 @@ class WidthResult:
     bounds: tuple[int, int] | None = None
 
 
+# -- bounds -------------------------------------------------------------------
+
+
+def _min_degree_elimination(g: Graph, fill: bool = True) -> tuple[int, list[int]]:
+    """Greedy min-degree elimination: its width and its order.  With
+    fill-in the width bounds treewidth from above (Bodlaender & Koster,
+    Inf. Comput. 2010); without, it is the degeneracy, a lower bound."""
+    adj = list(g.adj)
+    alive = (1 << g.n) - 1
+    width = 0
+    order = []
+    while alive:
+        v = min(bit_indices(alive), key=lambda u: (adj[u] & alive).bit_count())
+        alive &= ~(1 << v)
+        nb = adj[v] & alive
+        width = max(width, nb.bit_count())
+        if fill:
+            for u in bit_indices(nb):
+                adj[u] |= nb & ~(1 << u)
+        order.append(v)
+    return width, order
+
+
+def _width_upper_bound(g: Graph, parameter: str) -> int:
+    """An upper bound on the exact width, valid by construction: the
+    greedy elimination width for tw, the vertex separation of the
+    reversed elimination order for pw, the order of the graph for td."""
+    if parameter == "td":
+        return g.n
+    width, order = _min_degree_elimination(g)
+    if parameter == "tw":
+        return width
+    return pathwidth_of_order(g, tuple(reversed(order)))
+
+
 # -- treedepth ---------------------------------------------------------------
 
 
@@ -89,62 +139,58 @@ def treedepth_exact(g: Graph) -> WidthResult:
     if g.n > TD_LIMIT:
         lo, hi = treedepth_bounds(g)
         return WidthResult("td", None, None, False, (lo, hi))
-    memo: dict[int, tuple[int, int]] = {}  # mask -> (td, root)
-    adj = g.adj
-
-    def solve(mask: int) -> int:
-        k = mask.bit_count()
-        if k <= 1:
-            return k
-        if k == 2:
-            return 2  # connected two-vertex set
-        hit = memo.get(mask)
-        if hit is not None:
-            return hit[0]
-        best = k
-        best_root = (mask & -mask).bit_length() - 1
-        for v in bit_indices(mask):
-            rest = mask & ~(1 << v)
-            parts = component_masks(g, rest)
-            sub = max(solve(p) for p in parts)
-            if 1 + sub < best:
-                best = 1 + sub
-                best_root = v
-                if best == 2:
-                    break  # a connected set with >= 2 vertices never beats 2
-        memo[mask] = (best, best_root)
-        return best
-
-    def rebuild(mask: int, parent: int, parents: list[int]) -> None:
-        for comp in component_masks(g, mask):
-            k = comp.bit_count()
-            if k == 1:
-                v = comp.bit_length() - 1
-                parents[v] = parent
-                continue
-            if k == 2:
-                a = comp & -comp
-                v = a.bit_length() - 1
-                u = (comp ^ a).bit_length() - 1
-                parents[v] = parent
-                parents[u] = v
-                continue
-            entry = memo.get(comp)
-            if entry is None:
-                solve(comp)
-                entry = memo[comp]
-            rv = entry[1]
-            parents[rv] = parent
-            rebuild(comp & ~(1 << rv), rv, parents)
-
-    full = (1 << g.n) - 1
     if g.n == 0:
         return WidthResult("td", 0, EliminationForest(()), True)
-    value = max(solve(c) for c in component_masks(g, full))
+    adj = g.adj
+    failed: dict[int, int] = {}  # mask -> largest k with td(mask) > k
+    passed: dict[int, tuple[int, int]] = {}  # mask -> (least k seen with td <= k, root)
+
+    def within(mask: int, k: int) -> bool:
+        """Whether the connected set ``mask`` has treedepth <= k."""
+        c = mask.bit_count()
+        if c <= k:
+            return True  # a chain
+        if k <= failed.get(mask, 0):
+            return False
+        hit = passed.get(mask)
+        if hit is not None and hit[0] <= k:
+            return True
+        degree = {v: (adj[v] & mask).bit_count() for v in bit_indices(mask)}
+        # Forests of height k - 1 on the other c - 1 vertices hold at most
+        # (c-1)(k-2) - (k-1)(k-2)/2 edges; the root's edges cover the rest.
+        need = sum(degree.values()) // 2 - (c - 1) * (k - 2) + (k - 1) * (k - 2) // 2
+        for v in sorted(degree, key=degree.__getitem__, reverse=True):
+            if degree[v] < need:
+                break
+            rest = mask & ~(1 << v)
+            if k - 1 <= failed.get(rest, 0):
+                continue  # a connected rest already refuted, without splitting it
+            if all(within(p, k - 1) for p in component_masks(g, rest)):
+                passed[mask] = (k, v)
+                return True
+        failed[mask] = k
+        return False
+
+    def rebuild(mask: int, k: int, parent: int, parents: list[int]) -> None:
+        if mask.bit_count() <= k:
+            for v in bit_indices(mask):
+                parents[v] = parent
+                parent = v
+            return
+        k, root = passed[mask]
+        parents[root] = parent
+        for p in component_masks(g, mask & ~(1 << root)):
+            rebuild(p, k - 1, root, parents)
+
+    parts = component_masks(g, (1 << g.n) - 1)
+    value = _min_degree_elimination(g, fill=False)[0] + 1  # degeneracy <= tw <= td - 1
+    for p in parts:
+        while not within(p, value):
+            value += 1
     parents = [-1] * g.n
-    rebuild(full, -1, parents)
-    forest = EliminationForest(tuple(parents))
-    return WidthResult("td", value, forest, True)
+    for p in parts:
+        rebuild(p, value, -1, parents)
+    return WidthResult("td", value, EliminationForest(tuple(parents)), True)
 
 
 def treedepth_bounds(g: Graph, witness: PathWitness | None = None) -> tuple[int, int]:
@@ -164,67 +210,79 @@ def treedepth_bounds(g: Graph, witness: PathWitness | None = None) -> tuple[int,
     return (lower, upper)
 
 
-# -- pathwidth ----------------------------------------------------------------
+# -- pathwidth and treewidth ----------------------------------------------------
+
+
+def _order_within(g: Graph, k: int, step) -> list[int] | None:
+    """An order of V(G) whose every step costs at most k, or None.
+
+    A depth-first search over the vertex sets S placed so far, from the
+    empty set, adding one vertex v at a time while ``step(S, v) <= k``.
+    Each set T = S | {v} is tried once.  What can follow T does not
+    depend on how it was reached, and a step over k rules T out for
+    every last vertex: for pathwidth the step is T's own separation, and
+    for treewidth it is the number of neighbours of v's component C in
+    G[T], which every order reaching T paid when it placed C's last
+    vertex."""
+    full = (1 << g.n) - 1
+    seen: set[int] = set()
+    order: list[int] = []
+
+    def grow(placed: int) -> bool:
+        if placed == full:
+            return True
+        for v in bit_indices(full & ~placed):
+            nxt = placed | 1 << v
+            if nxt in seen:
+                continue
+            seen.add(nxt)
+            if step(placed, v) > k:
+                continue
+            order.append(v)
+            if grow(nxt):
+                return True
+            order.pop()
+        return False
+
+    return order if grow(0) else None
+
+
+def _least_width(g: Graph, lower: int, upper: int, order: list[int], step) -> tuple[int, list[int]]:
+    """The least k >= ``lower`` with an order of steps costing <= k, and
+    that order; ``order`` is one of cost ``upper``, returned if no
+    smaller k is feasible."""
+    for k in range(lower, upper):
+        found = _order_within(g, k, step)
+        if found is not None:
+            return k, found
+    return upper, order
+
+
+def _separation(g: Graph, placed: int) -> int:
+    """Vertices of ``placed`` with a neighbour outside it."""
+    outside = ((1 << g.n) - 1) & ~placed
+    return sum(1 for u in bit_indices(placed) if g.adj[u] & outside)
+
+
+def pathwidth_of_order(g: Graph, order: tuple[int, ...]) -> int:
+    placed = 0
+    worst = 0
+    for v in order:
+        placed |= 1 << v
+        worst = max(worst, _separation(g, placed))
+    return worst
 
 
 def pathwidth_exact(g: Graph) -> WidthResult:
     if g.n > PW_LIMIT:
         raise SizeLimitError(f"pathwidth solver limited to {PW_LIMIT} vertices")
-    n = g.n
-    if n == 0:
-        return WidthResult("pw", 0, (), True)
-    full = (1 << n) - 1
-    INF = n + 1
-    f = [INF] * (full + 1)
-    choice = [-1] * (full + 1)
-    f[0] = 0
-    # subsets in increasing numeric order: f[mask ^ low] is always ready
-    adj = g.adj
-    for mask in range(1, full + 1):
-        outside = full & ~mask
-        delta = 0
-        mm = mask
-        while mm:
-            low = mm & -mm
-            mm ^= low
-            if adj[low.bit_length() - 1] & outside:
-                delta += 1
-        best = INF
-        bv = -1
-        mm = mask
-        while mm:
-            low = mm & -mm
-            mm ^= low
-            prev = f[mask ^ low]
-            cost = prev if prev > delta else delta
-            if cost < best:
-                best = cost
-                bv = low.bit_length() - 1
-        f[mask] = best
-        choice[mask] = bv
-    order = []
-    mask = full
-    while mask:
-        v = choice[mask]
-        order.append(v)
-        mask ^= 1 << v
-    order.reverse()
-    return WidthResult("pw", f[full], tuple(order), True)
-
-
-def pathwidth_of_order(g: Graph, order: tuple[int, ...]) -> int:
-    placed = 0
-    full = (1 << g.n) - 1
-    worst = 0
-    for v in order:
-        placed |= 1 << v
-        outside = full & ~placed
-        cost = sum(1 for u in bit_indices(placed) if g.adj[u] & outside)
-        worst = max(worst, cost)
-    return worst
-
-
-# -- treewidth ----------------------------------------------------------------
+    lower, _ = _treewidth(g)
+    order = _min_degree_elimination(g)[1][::-1]
+    value, order = _least_width(
+        g, lower, pathwidth_of_order(g, tuple(order)), order,
+        lambda placed, v: _separation(g, placed | 1 << v),
+    )
+    return WidthResult("pw", value, tuple(order), True)
 
 
 def _q_size(g: Graph, inside: int, v: int) -> int:
@@ -242,44 +300,18 @@ def _q_size(g: Graph, inside: int, v: int) -> int:
     return out.bit_count()
 
 
+def _treewidth(g: Graph) -> tuple[int, list[int]]:
+    """Treewidth and an optimal elimination order (first eliminated first)."""
+    upper, order = _min_degree_elimination(g)
+    lower, _ = _min_degree_elimination(g, fill=False)
+    return _least_width(g, lower, upper, order, lambda placed, v: _q_size(g, placed, v))
+
+
 def treewidth_exact(g: Graph) -> WidthResult:
     if g.n > TW_LIMIT:
         raise SizeLimitError(f"treewidth solver limited to {TW_LIMIT} vertices")
-    n = g.n
-    if n == 0:
-        return WidthResult("tw", 0, TreeDecomposition((), ()), True)
-    full = (1 << n) - 1
-    INF = n + 1
-    f = [INF] * (full + 1)
-    choice = [-1] * (full + 1)
-    f[0] = 0
-    for mask in range(1, full + 1):
-        best = INF
-        bv = -1
-        mm = mask
-        while mm:
-            low = mm & -mm
-            v = low.bit_length() - 1
-            mm ^= low
-            rest = mask ^ low
-            q = _q_size(g, rest, v)
-            prev = f[rest]
-            cost = prev if prev > q else q
-            if cost < best:
-                best = cost
-                bv = v
-        f[mask] = best
-        choice[mask] = bv
-    # elimination order: choice[full] eliminated last
-    order = []
-    mask = full
-    while mask:
-        v = choice[mask]
-        order.append(v)
-        mask ^= 1 << v
-    order.reverse()  # order[0] eliminated first
-    decomposition = _decomposition_from_order(g, order)
-    return WidthResult("tw", f[full], decomposition, True)
+    value, order = _treewidth(g)
+    return WidthResult("tw", value, _decomposition_from_order(g, order), True)
 
 
 def _decomposition_from_order(g: Graph, order: list[int]) -> TreeDecomposition:

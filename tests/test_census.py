@@ -6,7 +6,6 @@ from diamwidth.canon import canonical_code
 from diamwidth.census import (
     _SOLVERS,
     _orbit_minimal_masks,
-    _width_upper_bound,
     CensusRow,
     census,
     census_to_csv,
@@ -18,7 +17,7 @@ from diamwidth.census import (
 from diamwidth.families import build_family, complete_graph, path_graph
 from diamwidth.formats import from_graph6, to_graph6
 from diamwidth.graphs import INFINITE, component_masks, diameter
-from diamwidth.width import treedepth_exact
+from diamwidth.width import _width_upper_bound, treedepth_exact
 from oracles import atlas_graphs
 
 

@@ -16,6 +16,7 @@ from diamwidth.cycles import (
     vtype_or_etype_free,
 )
 from diamwidth.families import (
+    complete_bipartite,
     complete_graph,
     cycle_bouquet,
     cycle_graph,
@@ -25,9 +26,17 @@ from diamwidth.families import (
     path_vertex_ids,
     spider,
 )
-from diamwidth.graphs import BUDGET, Budget, BudgetExhausted, graph_from_edges, induced_subgraph
+from diamwidth.graphs import (
+    BUDGET,
+    Budget,
+    BudgetExhausted,
+    graph_from_edges,
+    induced_subgraph,
+    is_bipartite,
+)
 
 from oracles import (
+    atlas_graphs,
     reference_cycles_through_edge,
     reference_cycles_through_vertex,
     reference_packing,
@@ -51,6 +60,34 @@ def test_find_cycle_subgraph():
     assert find_cycle_subgraph(cycle_graph(6), 6) == (0, 1, 2, 3, 4, 5)
     assert find_cycle_subgraph(cycle_graph(6), 5) is ABSENT
     assert find_cycle_subgraph(spider([2, 2, 2]), 4) is ABSENT
+
+
+def test_bipartite_hosts_are_settled_as_the_search_answers():
+    """Odd cycles are absent from bipartite hosts, and so is a C_2m when no
+    component of the 2-core has m vertices on each side: on every
+    bipartite graph with <= 7 vertices the answer is the search's."""
+
+    def searched(g, length):
+        for v in range(g.n):
+            cyc = cycles_through_vertex(g, v, length, (1 << v) - 1, 1, None)
+            if cyc:
+                return cyc[0]
+        return ABSENT
+
+    settled = 0
+    for g in filter(is_bipartite, atlas_graphs()):
+        for length in range(3, 9):
+            settled += cycles._bipartite_lacks_cycle(g, length)
+            assert find_cycle_subgraph(g, length, None) == searched(g, length), (g, length)
+    assert settled > 0
+    # settled without a search: no node of the budget is spent
+    assert find_cycle_subgraph(complete_bipartite(4, 4), 7, 1) is ABSENT
+    assert find_cycle_subgraph(complete_bipartite(2, 5), 6, 1) is ABSENT
+    assert find_cycle_subgraph(complete_bipartite(3, 3), 6, 1) is BUDGET
+    # a tree-like tail off a C4 is stripped before the sides are counted
+    c4_tail = graph_from_edges(7, [(0, 1), (1, 2), (2, 3), (3, 0), (3, 4), (4, 5), (5, 6)])
+    assert cycles._bipartite_lacks_cycle(c4_tail, 6)
+    assert find_cycle_subgraph(c4_tail, 4) == (0, 1, 2, 3)
 
 
 def test_packing_examples():

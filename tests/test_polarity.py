@@ -2,7 +2,7 @@ import pytest
 
 from diamwidth.containment import ABSENT, BUDGET, has_subgraph
 from diamwidth.families import complete_bipartite, cycle_graph
-from diamwidth.graphs import diameter
+from diamwidth.graphs import diameter, graph_from_edges
 from diamwidth.polarity import (
     absolute_points,
     er_polarity_graph,
@@ -62,8 +62,13 @@ def test_verify_polarity_claims():
     assert not rep.passed and rep.forbidden_cycle == 6
     with pytest.raises(ValueError):
         verify_polarity_claims(cycle_graph(5), 10)
-    # C6-free with diameter 2, but the default-budget C6 search runs out
+    # C6-free with diameter 2: a C6 would need three vertices on each side
     rep = verify_polarity_claims(complete_bipartite(1001, 2), 8)
+    assert rep.passed and rep.cycle_witness is ABSENT
+    # joining the two hubs breaks bipartiteness; still C6-free (a leaf sees
+    # only the hubs), but the default-budget C6 search runs out
+    k = complete_bipartite(200, 2)
+    rep = verify_polarity_claims(graph_from_edges(k.n, [*k.edges(), (200, 201)]), 8)
     assert rep.cycle_witness is BUDGET and not rep.passed
     assert "ran out of budget" in rep.reason()
 

@@ -1,3 +1,4 @@
+import hashlib
 import math
 import random
 
@@ -28,7 +29,7 @@ from diamwidth.width import (
     verify_certificate,
 )
 
-from oracles import brute_pathwidth, brute_treedepth
+from oracles import atlas_graphs, brute_pathwidth, brute_treedepth, brute_treewidth
 
 
 def random_connected(n, p, seed):
@@ -165,3 +166,77 @@ def test_size_limits():
         pathwidth_exact(complete_graph(21))
     with pytest.raises(SizeLimitError):
         treewidth_exact(complete_graph(17))
+
+
+SOLVERS = (treedepth_exact, pathwidth_exact, treewidth_exact)
+
+
+def gnp(n, seed, p):
+    rng = random.Random(seed)
+    return graph_from_edges(
+        n, [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p]
+    )
+
+
+def test_solvers_match_brute_force_on_every_graph_up_to_six_vertices():
+    graphs = [g for g in atlas_graphs() if g.n <= 6]
+    assert len(graphs) == 208
+    for g in graphs:
+        results = [solver(g) for solver in SOLVERS]
+        assert [r.value for r in results] == [
+            brute_treedepth(g), brute_pathwidth(g), brute_treewidth(g)
+        ], g
+        assert all(verify_certificate(g, r) for r in results), g
+
+
+def test_width_digest_over_every_graph_up_to_seven_vertices():
+    """(td, pw, tw) of all 1,252 graphs on 1..7 vertices, digest pinned
+    from the former full-table solvers."""
+    digest = hashlib.sha1()
+    graphs = atlas_graphs()
+    assert len(graphs) == 1252
+    for g in graphs:
+        results = [solver(g) for solver in SOLVERS]
+        assert all(verify_certificate(g, r) for r in results), g
+        digest.update(bytes(r.value for r in results))
+    assert digest.hexdigest() == "299bb434d66102de96e0a723a529c989e9134311"
+
+
+@pytest.mark.parametrize(
+    "n, seed, m, td, pw, tw",
+    [
+        (13, 13, 26, 7, 4, 4),
+        (14, 14, 32, 7, 4, 4),
+        (18, 18, 46, 9, 7, None),  # tw = pw, past TW_LIMIT
+        (16, 104, 38, 8, 6, 5),  # tw < pw: pw fails k = 5 before k = 6
+    ],
+)
+def test_pinned_widths_of_random_graphs(n, seed, m, td, pw, tw):
+    g = gnp(n, seed, 0.3)
+    assert len(list(g.edges())) == m
+    for solver, value in zip(SOLVERS, (td, pw, tw)):
+        if value is not None:
+            res = solver(g)
+            assert res.value == value and verify_certificate(g, res), solver.__name__
+
+
+def test_degenerate_graphs():
+    for n in (0, 1, 5):
+        g = edgeless_graph(n)
+        assert [s(g).value for s in SOLVERS] == [min(n, 1), 0, 0]
+        assert all(verify_certificate(g, s(g)) for s in SOLVERS)
+    for n in (1, 2, 6, 9):
+        g = complete_graph(n)
+        results = [s(g) for s in SOLVERS]
+        assert [r.value for r in results] == [n, n - 1, n - 1]
+        assert all(verify_certificate(g, r) for r in results)
+    # components of different widths: K4 + C5 + P3 + K1
+    g = graph_from_edges(
+        13,
+        [(a, b) for a in range(4) for b in range(a + 1, 4)]
+        + [(4 + i, 4 + (i + 1) % 5) for i in range(5)]
+        + [(9, 10), (10, 11)],
+    )
+    results = [s(g) for s in SOLVERS]
+    assert [r.value for r in results] == [4, 3, 3]
+    assert all(verify_certificate(g, r) for r in results)
