@@ -8,6 +8,13 @@ The subgraph matcher is a backtracking search over candidate bitmasks with
 degree and adjacency-consistency pruning; pattern vertices are ordered by
 descending degree with connectivity preference, host candidates ascending.
 The contract is exactness, not any particular search order.
+
+Minor containment decides cycle and linear-forest patterns exactly before
+the general branch-set search.  A pattern of maximum degree <= 3 is a
+minor iff it is a topological minor (Diestel, *Graph Theory*, Prop.
+1.7.3), so C_k (k >= 3) is a minor iff the host has a cycle of length
+>= k, and a linear forest is a minor iff it is a subgraph.  Every other
+pattern goes to the branch-set search.
 """
 
 from __future__ import annotations
@@ -24,7 +31,9 @@ from .graphs import (
     bit_indices,
     budgeted,
     component_masks,
+    is_linear_forest,
 )
+from .cycles import find_cycle_subgraph
 from .paths import find_induced_path
 
 
@@ -182,16 +191,66 @@ def has_induced_subgraph(
 
 
 def has_minor(host: Graph, pattern: Graph, budget: int | Budget | None = DEFAULT_BUDGET):
-    """Branch-set search for a pattern minor; ABSENT only after exhaustion.
+    """A minor model of pattern in host as branch sets; ABSENT only after
+    an exhaustive search.
 
-    Every model is found through its minimal form: each branch set is the
-    union of its seed and of connecting paths grown to satisfy pattern
-    edges, so enumerating seeds plus simple connecting paths is complete.
+    A cycle C_k is a minor iff the host has a cycle of some length L >= k
+    (Diestel, Prop. 1.7.3: patterns of maximum degree <= 3 are minors iff
+    topological minors); its model is k - 1 single cycle vertices and one
+    arc of the rest.  A linear forest is a minor iff it is a subgraph, and
+    its model is the subgraph's vertices as singletons.  Every other
+    pattern goes to the branch-set search.  All of them spend one budget.
     """
-    return budgeted(_minor, host, pattern, budget)
+    return budgeted(_decide_minor, host, pattern, budget)
+
+
+def _decide_minor(host: Graph, pattern: Graph, budget: Budget):
+    cyclic = _cyclic_order(pattern)
+    if cyclic is not None:
+        return _cycle_minor(host, cyclic, budget)
+    if is_linear_forest(pattern):
+        emb = _match(host, pattern, False, budget)
+        if emb is ABSENT:
+            return ABSENT
+        return Embedding("minor", branch_sets=tuple(frozenset((v,)) for v in emb.vertex_map))
+    return _minor(host, pattern, budget)
+
+
+def _cyclic_order(pattern: Graph) -> list[int] | None:
+    """The pattern's vertices in cyclic order if it is a cycle on >= 3
+    vertices, else None."""
+    if pattern.n < 3 or any(d != 2 for d in pattern.degrees):
+        return None
+    walk, seen = [0], 1
+    while nxt := pattern.adj[walk[-1]] & ~seen:
+        low = nxt & -nxt
+        walk.append(low.bit_length() - 1)
+        seen |= low
+    # a 2-regular graph is one cycle iff the walk from 0 covers it
+    return walk if len(walk) == pattern.n else None
+
+
+def _cycle_minor(host: Graph, cyclic: list[int], budget: Budget):
+    """C_k as a minor: the first host cycle of length L = k, k + 1, ...,
+    its first k - 1 vertices as single branch sets and the rest as the
+    last."""
+    k = len(cyclic)
+    for length in range(k, host.n + 1):
+        cyc = find_cycle_subgraph(host, length, budget)
+        if cyc is not ABSENT:
+            branch = [frozenset()] * k
+            for i, p in enumerate(cyclic[:-1]):
+                branch[p] = frozenset((cyc[i],))
+            branch[cyclic[-1]] = frozenset(cyc[k - 1:])
+            return Embedding("minor", branch_sets=tuple(branch))
+    return ABSENT
 
 
 def _minor(host: Graph, pattern: Graph, budget: Budget):
+    """The branch-set search.  Every model is found through its minimal
+    form: each branch set is the union of its seed and of connecting paths
+    grown to satisfy pattern edges, so enumerating seeds plus simple
+    connecting paths is complete."""
     if pattern.n == 0:
         return Embedding("minor")
     if pattern.n > host.n or pattern.m > host.m:

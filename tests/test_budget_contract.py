@@ -47,13 +47,17 @@ def random_graph(n, p, seed):
 
 
 # Every public budgeted decision search, as budget -> result, on an instance
-# that needs more than one search node.  The cycle_packing instance runs
+# that needs more than one search node (has_minor twice: its cycle rule
+# and its branch-set search).  The cycle_packing instance runs
 # out inside the combination search below 74 nodes (its anchored
 # enumerations fit), so the sweep below reaches that search's cut too.
 SEARCHES = {
     "has_subgraph": lambda b: has_subgraph(random_graph(12, 0.5, 1), complete_graph(4), b),
     "has_induced_subgraph": lambda b: has_induced_subgraph(wall(2), path_graph(5), b),
     "has_minor": lambda b: has_minor(wall(2), cycle_graph(6), b),
+    # K4 is neither a cycle nor a linear forest: the branch-set search,
+    # whose model here grows every branch set by a connector
+    "has_minor (branch sets)": lambda b: has_minor(random_graph(8, 0.4, 1), complete_graph(4), b),
     "find_biclique": lambda b: find_biclique(cycle_graph(9), 2, 2, b),
     "grs_witness": lambda b: grs_witness(cycle_graph(9), 2, 2, 8, b),
     "find_induced_path": lambda b: find_induced_path(path_graph(6), 6, b),
