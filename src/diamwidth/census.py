@@ -88,8 +88,7 @@ def _enumerate(
         for base, gens in zip(levels[n - 1], generators):
             for nbhd in _orbit_minimal_masks(n - 1, gens, lowest):
                 adj = [a | ((nbhd >> v) & 1) << (n - 1) for v, a in enumerate(base.adj)]
-                # valid by construction: the new bits are set on both sides, below n
-                g = Graph._unchecked(n, (*adj, nbhd))
+                g = Graph(n, (*adj, nbhd))
                 auts: list[tuple[int, ...]] = []
                 code = canonical_code(g, automorphisms=auts)
                 if code not in seen:

@@ -117,14 +117,6 @@ class Graph:
             if not 0 <= v < self.n:
                 raise ValueError(f"label on out-of-range vertex {v}")
 
-    @classmethod
-    def _unchecked(cls, n: int, adj: tuple[int, ...]) -> "Graph":
-        """An unlabelled Graph built without the invariant checks, for a
-        caller whose adjacency is valid by construction."""
-        g = object.__new__(cls)
-        g.__dict__.update(n=n, adj=adj, labels=())
-        return g
-
     # -- basic accessors -------------------------------------------------
 
     @cached_property

@@ -7,6 +7,7 @@ no code path with the solvers they check.
 
 from __future__ import annotations
 
+import random
 from itertools import combinations, permutations
 
 from diamwidth.graphs import Graph, bit_indices, component_masks, graph_from_edges
@@ -248,6 +249,20 @@ def atlas_graphs() -> list[Graph]:
         idx = {v: i for i, v in enumerate(h.nodes())}
         out.append(graph_from_edges(len(idx), [(idx[u], idx[v]) for u, v in h.edges()]))
     return out
+
+
+def criterion_09_hosts() -> list[Graph]:
+    """The 50 random hosts of acceptance criterion 09: G(n, p) with n in
+    9..14 and p in {0.2, 0.28}."""
+    rng = random.Random(11)
+    hosts = []
+    for seed in range(50):
+        n = rng.randrange(9, 15)
+        p = rng.choice([0.2, 0.28])
+        r2 = random.Random(1000 + seed)
+        hosts.append(graph_from_edges(
+            n, [(u, v) for u in range(n) for v in range(u + 1, n) if r2.random() < p]))
+    return hosts
 
 
 def reference_cycles_through_vertex(g: Graph, v: int, length: int, avoid: int = 0,

@@ -25,7 +25,13 @@ from diamwidth.width import (
 )
 
 from catalog import CATALOG, INF
-from oracles import brute_has_subgraph, brute_pathwidth, brute_treedepth, brute_treewidth
+from oracles import (
+    brute_has_subgraph,
+    brute_pathwidth,
+    brute_treedepth,
+    brute_treewidth,
+    criterion_09_hosts,
+)
 
 
 def _report(num: int, name: str, ok: bool, detail: str = "") -> None:
@@ -144,18 +150,7 @@ def test_criterion_09_containment_oracle_equivalence():
             for ls in _length_tuples(k):
                 if base + sum(l - per for l in ls) <= 12:
                     bouquet_patterns.append((ls, mode))
-    rng = random.Random(11)
-    hosts14 = []
-    for seed in range(50):
-        n = rng.randrange(9, 15)
-        p = rng.choice([0.2, 0.28])
-        r2 = random.Random(1000 + seed)
-        hosts14.append(
-            graph_from_edges(
-                n,
-                [(u, v) for u in range(n) for v in range(u + 1, n) if r2.random() < p],
-            )
-        )
+    hosts14 = criterion_09_hosts()
     bq_mismatch = 0
     for lengths, mode in bouquet_patterns:
         pattern = cycle_bouquet(list(lengths), mode)

@@ -16,7 +16,7 @@ from diamwidth.census import (
 )
 from diamwidth.families import build_family, complete_graph, path_graph
 from diamwidth.formats import from_graph6, to_graph6
-from diamwidth.graphs import INFINITE, Graph, component_masks, diameter
+from diamwidth.graphs import INFINITE, component_masks, diameter
 from diamwidth.width import _width_upper_bound, treedepth_exact
 from oracles import atlas_graphs
 
@@ -55,14 +55,6 @@ def test_levels_and_representatives_are_pinned():
     assert _digest(enumerate_all_graphs(6)) == (
         "8cc162ddbbb91c8c327da1fc2035e8f1ba65c8440d8baa6fcf645315ce3bf500"
     )
-
-
-def test_enumerated_graphs_pass_the_checked_constructor(unpruned):
-    # the enumeration builds its children without ``__post_init__``; each
-    # must be a graph the checked constructor accepts, and equal to it
-    for level in unpruned + enumerate_all_graphs(6):
-        for g in level:
-            assert Graph(g.n, g.adj) == g
 
 
 def test_orbit_minimal_masks():

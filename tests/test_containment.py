@@ -33,6 +33,7 @@ from oracles import (
     atlas_graphs,
     brute_has_minor,
     brute_has_subgraph,
+    criterion_09_hosts,
     reference_cycles_through_vertex,
 )
 
@@ -184,23 +185,10 @@ def test_other_patterns_go_to_the_branch_set_search(monkeypatch):
     assert len(calls) == len(hosts) + 1
 
 
-def _criterion_09_hosts():
-    """The 50 hosts of acceptance criterion 09, built as its test builds them."""
-    rng = random.Random(11)
-    hosts = []
-    for seed in range(50):
-        n = rng.randrange(9, 15)
-        p = rng.choice([0.2, 0.28])
-        r2 = random.Random(1000 + seed)
-        hosts.append(graph_from_edges(
-            n, [(u, v) for u in range(n) for v in range(u + 1, n) if r2.random() < p]))
-    return hosts
-
-
 def test_c6_minors_of_criterion_09_hosts_are_settled():
     # the branch-set search answered BUDGET on both at 50,000 nodes, and
     # host 24 (a 9-cycle) does contain C6
-    hosts = _criterion_09_hosts()
+    hosts = criterion_09_hosts()
     c6 = cycle_graph(6)
     emb = has_minor(hosts[24], c6, budget=50_000)
     assert isinstance(emb, Embedding) and verify_embedding(hosts[24], c6, emb)
