@@ -38,12 +38,11 @@ from .width import _width_upper_bound, pathwidth_exact, treedepth_exact, treewid
 CENSUS_LIMIT = 9
 
 
-def _orbit_minimal_masks(k: int, generators: list[tuple[int, ...]], lowest: int) -> list[int]:
+def _orbit_minimal_masks(k: int, generators: list[tuple[int, ...]]) -> list[int]:
     """The least mask of each orbit of the group generated by
-    ``generators`` acting on subsets of range(k), ascending, from
-    ``lowest`` on."""
+    ``generators`` acting on the nonempty subsets of range(k), ascending."""
     if not generators:
-        return list(range(lowest, 1 << k))
+        return list(range(1, 1 << k))
     images = []
     for gamma in generators:
         image = [0] * (1 << k)
@@ -53,7 +52,7 @@ def _orbit_minimal_masks(k: int, generators: list[tuple[int, ...]], lowest: int)
         images.append(image)
     done = bytearray(1 << k)
     minimal = []
-    for mask in range(lowest, 1 << k):
+    for mask in range(1, 1 << k):
         if done[mask]:
             continue
         minimal.append(mask)
@@ -69,24 +68,24 @@ def _orbit_minimal_masks(k: int, generators: list[tuple[int, ...]], lowest: int)
     return minimal
 
 
-def _enumerate(
-    n_max: int, connected: bool, keep: Callable[[Graph], bool] | None = None
+def enumerate_connected_graphs(
+    n_max: int, keep: Callable[[Graph], bool] | None = None
 ) -> list[list[Graph]]:
-    """levels[n] = graphs on n vertices up to isomorphism, connected ones
-    only if ``connected`` (then the added vertex has a nonempty
-    neighbourhood), in canonical-code order.  With a hereditary ``keep``
-    predicate, only the graphs it accepts are kept, and only those grow
-    the next level."""
+    """levels[n] = connected graphs on n vertices up to isomorphism,
+    in canonical-code order (levels[0] is empty).  ``keep``, if given,
+    must be hereditary (true of G implies true of every connected
+    induced subgraph of G); the levels are then those of the unpruned
+    enumeration filtered by it, with the same representatives, and only
+    the graphs it accepts grow the next level."""
     if n_max > CENSUS_LIMIT:
         raise ValueError(f"census enumeration limited to {CENSUS_LIMIT} vertices")
     k1 = graph_from_edges(1, [])
     levels: list[list[Graph]] = [[], [k1] if keep is None or keep(k1) else []]
     generators: list[list[tuple[int, ...]]] = [[] for _ in levels[1]]  # per graph of the last level
-    lowest = 1 if connected else 0
     for n in range(2, n_max + 1):
         seen: dict[bytes, tuple[Graph, list[tuple[int, ...]]]] = {}
         for base, gens in zip(levels[n - 1], generators):
-            for nbhd in _orbit_minimal_masks(n - 1, gens, lowest):
+            for nbhd in _orbit_minimal_masks(n - 1, gens):
                 adj = [a | ((nbhd >> v) & 1) << (n - 1) for v, a in enumerate(base.adj)]
                 g = Graph(n, (*adj, nbhd))
                 auts: list[tuple[int, ...]] = []
@@ -97,26 +96,6 @@ def _enumerate(
         levels.append([seen[c][0] for c in codes])
         generators = [seen[c][1] for c in codes]
     return levels
-
-
-def enumerate_connected_graphs(
-    n_max: int, keep: Callable[[Graph], bool] | None = None
-) -> list[list[Graph]]:
-    """levels[n] = connected graphs on n vertices up to isomorphism,
-    in canonical-code order (levels[0] is empty).  ``keep``, if given,
-    must be hereditary (true of G implies true of every connected
-    induced subgraph of G); the levels are then those of the unpruned
-    enumeration filtered by it, with the same representatives."""
-    return _enumerate(n_max, connected=True, keep=keep)
-
-
-def connected_graph_counts(n_max: int) -> list[int]:
-    return [len(level) for level in enumerate_connected_graphs(n_max)[1:]]
-
-
-def enumerate_all_graphs(n_max: int) -> list[list[Graph]]:
-    """All graphs (connected or not) up to isomorphism, per order."""
-    return _enumerate(n_max, connected=False)
 
 
 @dataclass(frozen=True)

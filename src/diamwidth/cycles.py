@@ -56,7 +56,6 @@ ENUMERATION_CAP = 60_000
 class CyclePacking:
     anchor: tuple  # ("vertex", v) or ("edge", u, v)
     cycles: tuple[tuple[int, ...], ...]
-    satisfied: bool
 
 
 def cycles_through_vertex(
@@ -247,9 +246,10 @@ def cycle_packing(
     """Exact packing decision at an anchor.
 
     anchor: ("vertex", v) or ("edge", u, v).  quotas: cycle length ->
-    required count (lengths >= 3, counts >= 0).  Returns a satisfied
-    CyclePacking; ABSENT from the anchor-degree or vertex-count test, a
-    blocking-set bound or the exhausted combination search; or BUDGET.
+    required count (lengths >= 3, counts >= 0).  Returns a CyclePacking
+    meeting the quotas; ABSENT from the anchor-degree or vertex-count
+    test, a blocking-set bound or the exhausted combination search; or
+    BUDGET.
     A pool that reaches ENUMERATION_CAP anchored cycles of one length also
     answers BUDGET, the only way an unbudgeted call can.
     """
@@ -263,7 +263,7 @@ def cycle_packing(
         total += count
         size += count * (length - core)
     if total == 0:
-        return CyclePacking(anchor, (), True)
+        return CyclePacking(anchor, ())
     if anchor[0] == "edge" and not g.has_edge(anchor[1], anchor[2]):
         raise ValueError(f"anchor edge ({anchor[1]},{anchor[2]}) not present")
     if _room(g, anchor) < total or size > g.n:
@@ -275,7 +275,7 @@ def _pack(g, anchor, quotas, total, budget):
     """``cycle_packing``'s searches once its degree and size tests pass."""
     picked = _greedy_packing(g, anchor, quotas, budget)
     if len(picked) >= total:
-        return CyclePacking(anchor, tuple(picked), True)
+        return CyclePacking(anchor, tuple(picked))
 
     # each length's quota may be blocked on its own, and so may the total
     lengths = sorted(quotas)
@@ -317,7 +317,7 @@ def _pack(g, anchor, quotas, total, budget):
         return False
 
     found = search(0, quotas[lengths[0]], 0, 0)
-    return CyclePacking(anchor, tuple(acc), True) if found else ABSENT
+    return CyclePacking(anchor, tuple(acc)) if found else ABSENT
 
 
 def verify_packing(g: Graph, packing: CyclePacking, quotas: dict[int, int]) -> bool:

@@ -68,16 +68,6 @@ class ExperimentPlan:
         plan.validate()
         return plan
 
-    def to_json(self) -> str:
-        return json.dumps(
-            {
-                "family_template": self.family_template,
-                "values": list(self.values),
-                "checks": list(self.checks),
-            },
-            sort_keys=True,
-        )
-
     def validate(self) -> None:
         for v in self.values:
             parse_family_spec(self.family_template.format(v))

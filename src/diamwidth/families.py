@@ -330,19 +330,6 @@ def gadget_samecyc(n: int, variant: str, l: int | None = None) -> Graph:
     return graph_from_edges(n + 3, edges, labels)
 
 
-def subdivided_witness(kind: str, n: int) -> Graph:
-    """1-subdivided biclique K_{n,n} or 2-subdivided clique K_n."""
-    if kind == "biclique-1-sub":
-        if n < 1:
-            raise ValueError("needs n >= 1")
-        return subdivide(complete_bipartite(n, n), 1)
-    if kind == "clique-2-sub":
-        if n < 1:
-            raise ValueError("needs n >= 1")
-        return subdivide(complete_graph(n), 2)
-    raise ValueError("kind must be 'biclique-1-sub' or 'clique-2-sub'")
-
-
 def path_vertex_ids(g: Graph) -> list[int]:
     """Ids labelled p:0..p:k, in path order (for the patterned gadgets)."""
     pairs = sorted(
@@ -392,8 +379,8 @@ _BUILDERS: dict[str, Callable[..., Graph]] = {
     "gadget-cv": gadget_cv_unbounded,
     "gadget-ce": gadget_ce_unbounded,
     "samecyc": gadget_samecyc,
-    "sub-biclique": lambda n: subdivided_witness("biclique-1-sub", n),
-    "sub-clique": lambda n: subdivided_witness("clique-2-sub", n),
+    "sub-biclique": lambda n: subdivide(complete_bipartite(n, n), 1),
+    "sub-clique": lambda n: subdivide(complete_graph(n), 2),
     "er-polarity": er_polarity_graph,
     "union": lambda *parts: reduce(disjoint_union, map(build_family, parts)),
 }

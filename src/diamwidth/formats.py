@@ -119,20 +119,26 @@ def to_edgelist(g: Graph) -> str:
 
 
 def from_edgelist(text: str) -> Graph:
-    rows = [ln for ln in text.splitlines() if ln.strip() and not ln.startswith("#")]
+    rows = []  # (byte offset, fields) of each line that is not blank or a comment
+    offset = 0
+    for ln in text.splitlines(keepends=True):
+        if ln.strip() and not ln.startswith("#"):
+            rows.append((offset, ln.split()))
+        offset += len(ln.encode("utf-8"))
     if not rows:
         raise FormatError("empty edge list", 0)
-    head = rows[0].split()
-    if len(head) != 2:
-        raise FormatError("header must be 'n m'", 0)
-    n, m = int(head[0]), int(head[1])
+    n, m = _int_pair(*rows[0], "header must be 'n m'")
     if len(rows) - 1 != m:
         raise FormatError(f"expected {m} edge lines, found {len(rows) - 1}", 0)
-    edges = []
-    for ln in rows[1:]:
-        u, v = ln.split()
-        edges.append((int(u), int(v)))
-    return graph_from_edges(n, edges)
+    return graph_from_edges(n, [_int_pair(*row, "edge line must be 'u v'") for row in rows[1:]])
+
+
+def _int_pair(offset: int, fields: list[str], message: str) -> tuple[int, int]:
+    try:
+        a, b = map(int, fields)
+    except ValueError:
+        raise FormatError(message, offset) from None
+    return a, b
 
 
 def labels_to_json(g: Graph) -> str:
@@ -140,7 +146,12 @@ def labels_to_json(g: Graph) -> str:
 
 
 def labels_from_json(text: str) -> dict[int, str]:
-    raw = json.loads(text)
+    try:
+        raw = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise FormatError(f"invalid JSON: {exc.msg}", len(text[: exc.pos].encode())) from None
+    if not isinstance(raw, dict) or not all(k.lstrip("-").isdecimal() for k in raw):
+        raise FormatError("labels must be a JSON object of vertex id -> label", 0)
     return {int(k): str(v) for k, v in raw.items()}
 
 

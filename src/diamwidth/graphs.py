@@ -131,9 +131,6 @@ class Graph:
     def degrees(self) -> tuple[int, ...]:
         return tuple(mask.bit_count() for mask in self.adj)
 
-    def neighbors(self, v: int) -> Iterator[int]:
-        return bit_indices(self.adj[v])
-
     def has_edge(self, u: int, v: int) -> bool:
         return bool((self.adj[u] >> v) & 1)
 
@@ -145,10 +142,6 @@ class Graph:
                 low = rest & -rest
                 yield v, base + low.bit_length() - 1
                 rest ^= low
-
-    @cached_property
-    def label_map(self) -> dict[int, str]:
-        return dict(self.labels)
 
     def find_label(self, text: str) -> int:
         """Return the id carrying label ``text`` (it must be unique)."""
@@ -233,24 +226,6 @@ def distances_from(g: Graph, source: int) -> list[int | float]:
     return dist
 
 
-@dataclass(frozen=True)
-class DistanceTable:
-    """All-pairs hop distances, rows indexed by source vertex."""
-
-    rows: tuple[tuple[int | float, ...], ...]
-
-    def d(self, u: int, v: int) -> int | float:
-        return self.rows[u][v]
-
-
-def distance_table(g: Graph) -> DistanceTable:
-    return DistanceTable(tuple(tuple(distances_from(g, v)) for v in range(g.n)))
-
-
-def eccentricity(g: Graph, v: int) -> int | float:
-    return max(distances_from(g, v))
-
-
 def diameter(g: Graph) -> int | float:
     """Max pairwise distance; INFINITE when disconnected; error on empty."""
     if g.n == 0:
@@ -259,7 +234,7 @@ def diameter(g: Graph) -> int | float:
         return 0
     best: int | float = 0
     for v in range(g.n):
-        ecc = eccentricity(g, v)
+        ecc = max(distances_from(g, v))
         if ecc == INFINITE:
             return INFINITE
         if ecc > best:
@@ -275,23 +250,6 @@ def disjoint_union(g: Graph, h: Graph) -> Graph:
     labels = dict(g.labels)
     labels.update({v + g.n: lab for v, lab in h.labels})
     return Graph(g.n + h.n, tuple(adj), tuple(sorted(labels.items())))
-
-
-def join(g: Graph, h: Graph) -> Graph:
-    """Disjoint union of g and h plus all edges between the two sides."""
-    gmask = (1 << g.n) - 1
-    hmask = ((1 << h.n) - 1) << g.n
-    adj = [mask | hmask for mask in g.adj]
-    adj += [(mask << g.n) | gmask for mask in h.adj]
-    labels = dict(g.labels)
-    labels.update({v + g.n: lab for v, lab in h.labels})
-    return Graph(g.n + h.n, tuple(adj), tuple(sorted(labels.items())))
-
-
-def complement(g: Graph) -> Graph:
-    full = (1 << g.n) - 1
-    adj = tuple((full & ~mask) & ~(1 << v) for v, mask in enumerate(g.adj))
-    return Graph(g.n, adj, g.labels)
 
 
 def subdivide(g: Graph, k: int) -> Graph:
@@ -374,30 +332,6 @@ def bipartition(g: Graph) -> tuple[int, int] | None:
 
 def is_bipartite(g: Graph) -> bool:
     return bipartition(g) is not None
-
-
-def girth(g: Graph) -> int | float:
-    """Length of a shortest cycle, INFINITE for forests."""
-    best: int | float = INFINITE
-    for s in range(g.n):
-        dist = [-1] * g.n
-        parent = [-1] * g.n
-        dist[s] = 0
-        frontier = [s]
-        while frontier:
-            nxt = []
-            for v in frontier:
-                for u in bit_indices(g.adj[v]):
-                    if dist[u] == -1:
-                        dist[u] = dist[v] + 1
-                        parent[u] = v
-                        nxt.append(u)
-                    elif u != parent[v] and dist[u] >= dist[v]:
-                        cyc = dist[u] + dist[v] + 1
-                        if cyc < best:
-                            best = cyc
-            frontier = nxt
-    return best
 
 
 def cyclomatic_number(g: Graph, within: int | None = None) -> int:

@@ -6,8 +6,7 @@ via the ``exact`` flag (a non-exact witness is a lower bound only).
 
 The plain-path search runs a DP over (vertex-set, endpoint) states per
 component, which enumerates the same space as exhaustive DFS without the
-factorial blowup on dense graphs.  A state budget keeps it memory-safe; on
-overflow it falls back to the heuristic with ``exact=False``.
+factorial blowup on dense graphs.
 """
 
 from __future__ import annotations
@@ -18,7 +17,6 @@ from .graphs import ABSENT, DEFAULT_BUDGET, Budget, Graph, bit_indices, budgeted
 
 PLAIN_EXACT_LIMIT = 18
 INDUCED_EXACT_LIMIT = 20
-STATE_BUDGET = 4_000_000
 HEURISTIC_NODES = 500_000
 
 
@@ -60,20 +58,15 @@ def longest_path(g: Graph) -> PathWitness:
     if g.n > PLAIN_EXACT_LIMIT:
         return _heuristic_path(g)
     best_mask = 1 << 0
-    best_last = 0
     # layers[mask] = bitmask of endpoints v such that mask has a hamiltonian
     # path of mask ending at v.  Processed per component.
     layers: dict[int, int] = {}
-    states = 0
     for comp in component_masks(g):
         frontier: dict[int, int] = {}
         for v in bit_indices(comp):
             frontier[1 << v] = frontier.get(1 << v, 0) | (1 << v)
         while frontier:
             layers.update(frontier)
-            states += len(frontier)
-            if states > STATE_BUDGET:
-                return _heuristic_path(g)
             nxt: dict[int, int] = {}
             for mask, lasts in frontier.items():
                 for v in bit_indices(lasts):

@@ -39,7 +39,7 @@ import math
 from dataclasses import dataclass
 
 from .graphs import Graph, bit_indices, component_masks
-from .paths import PathWitness, longest_path
+from .paths import longest_path
 
 TD_LIMIT = 24
 PW_LIMIT = 20
@@ -193,12 +193,12 @@ def treedepth_exact(g: Graph) -> WidthResult:
     return WidthResult("td", value, EliminationForest(tuple(parents)), True)
 
 
-def treedepth_bounds(g: Graph, witness: PathWitness | None = None) -> tuple[int, int]:
+def treedepth_bounds(g: Graph) -> tuple[int, int]:
     """Longest-path sandwich: ceil(log2 of path vertex count + 1) below,
     path vertex count above (graph order when the path is heuristic)."""
     if g.n == 0:
         return (0, 0)
-    w = witness or longest_path(g)
+    w = longest_path(g)
     lv = w.num_vertices
     le = w.length
     lower = max(

@@ -239,6 +239,17 @@ def unpruned_canonical_code(g: Graph) -> bytes:
     return prefix + min(codes)
 
 
+def complement(g: Graph) -> Graph:
+    """The complement of g on the same vertex ids."""
+    full = (1 << g.n) - 1
+    return Graph(g.n, tuple(full & ~mask & ~(1 << v) for v, mask in enumerate(g.adj)))
+
+
+def add_apex(g: Graph) -> Graph:
+    """g plus one vertex, id g.n, adjacent to every vertex of g."""
+    return graph_from_edges(g.n + 1, [*g.edges(), *((v, g.n) for v in range(g.n))], dict(g.labels))
+
+
 def atlas_graphs() -> list[Graph]:
     """Every graph on 1..7 vertices from ``networkx.graph_atlas_g()``, an
     enumeration independent of this package (test-only import)."""

@@ -164,6 +164,29 @@ def test_malformed_graph6_is_usage_error(tmp_path, capsys):
     assert code == 2
 
 
+def test_malformed_edge_list_is_format_error(tmp_path, capsys):
+    bad = tmp_path / "bad.el"
+    bad.write_text("3 1\n0 1 2\n")
+    assert main(["width", "td", "--in", str(bad)]) == 2
+    err = capsys.readouterr().err
+    assert "format error: edge line must be 'u v' (byte offset 4)" in err
+    assert "Traceback" not in err
+
+
+def test_malformed_label_sidecar_is_format_error(tmp_path, capsys):
+    g6 = tmp_path / "g.g6"
+    g6.write_text("Bw\n")
+    labels = tmp_path / "lab.json"
+    for text in ('["apex"]', '{"apex": "0"}', '{"0": "a"'):
+        labels.write_text(text)
+        args = ["convert", "--in", str(g6), "--in-labels", str(labels),
+                "--out", str(tmp_path / "out.el"), "--out-format", "edgelist"]
+        assert main(args) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("format error: ") and "byte offset" in err
+        assert "Traceback" not in err
+
+
 def test_unknown_theorem_key_is_usage_error(capsys):
     assert run(["verify-theorem", "nonexistent"], capsys)[0] == 2
 
@@ -250,7 +273,7 @@ def test_check_rejects_forged_witnesses(tmp_path, capsys, monkeypatch):
     code, out = run(["check", "subgraph", "--host", host, "--pattern", pat], capsys)
     assert code == 1 and out == ""
     # one 6-cycle where the quota asks for two
-    packing = CyclePacking(("vertex", 0), ((0, 1, 2, 3, 4, 5),), True)
+    packing = CyclePacking(("vertex", 0), ((0, 1, 2, 3, 4, 5),))
     cert = FreenessCertificate(False, "vertex", (6, 6), packing)
     monkeypatch.setattr(diamwidth.cli, "vtype_or_etype_free", lambda h, l, m, b: cert)
     code, out = run(["check", "vfree", "--host", host, "--lengths", "2x6"], capsys)

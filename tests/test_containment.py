@@ -25,12 +25,13 @@ from diamwidth.families import (
     spider,
     wall,
 )
-from diamwidth.graphs import INFINITE, complement, disjoint_union, graph_from_edges
+from diamwidth.graphs import INFINITE, disjoint_union, graph_from_edges
 from diamwidth.paths import PathWitness, longest_induced_path
 from diamwidth.polarity import er_polarity_graph
 
 from oracles import (
     atlas_graphs,
+    complement,
     brute_has_minor,
     brute_has_subgraph,
     criterion_09_hosts,

@@ -19,27 +19,28 @@ from diamwidth.families import (
     patterned_apex_path,
     samecyc_pattern,
     spider,
-    subdivided_witness,
     wall,
 )
 from diamwidth.graphs import (
     INFINITE,
     bit_indices,
     diameter,
-    girth,
     is_bipartite,
     is_connected,
 )
 from diamwidth.planarity import is_planar
 
+from oracles import to_networkx
+
 
 def test_standard_family_counts():
+    nx = pytest.importorskip("networkx")
     p5 = path_graph(5)
     assert (p5.n, p5.m) == (5, 4)
     k33 = complete_bipartite(3, 3)
     assert (k33.n, k33.m, diameter(k33)) == (6, 9, 2)
     c8 = cycle_graph(8)
-    assert is_bipartite(c8) and girth(c8) == 8
+    assert is_bipartite(c8) and nx.girth(to_networkx(c8)) == 8
     with pytest.raises(ValueError):
         cycle_graph(2)
 
@@ -88,17 +89,18 @@ def test_cycle_bouquets():
 
 
 def test_wall():
+    nx = pytest.importorskip("networkx")
     for h, n in [(2, 16), (3, 30), (4, 48)]:
         w = wall(h)
         assert w.n == n
         assert max(w.degrees) == 3
         assert is_bipartite(w) and is_connected(w)
-        assert girth(w) == 6
+        assert nx.girth(to_networkx(w)) == 6
         assert is_planar(w)
     w21 = wall(2, 1)
     assert w21.n == 16 + wall(2).m
-    assert girth(w21) == 12
-    assert girth(wall(2, 2)) == 18
+    assert nx.girth(to_networkx(w21)) == 12
+    assert nx.girth(to_networkx(wall(2, 2))) == 18
 
 
 def test_patterned_apex_path():
@@ -131,14 +133,15 @@ def test_cv_unbounded_gadget():
     g = gadget_cv_unbounded(8)
     assert g.n == 8 + 1 + 12
     p0 = g.find_label("p:0")
+    labels = dict(g.labels)
     znames = sorted(
-        g.label_map[u] for u in g.neighbors(p0) if g.label_map.get(u, "").startswith("Z")
+        labels[u] for u in bit_indices(g.adj[p0]) if labels.get(u, "").startswith("Z")
     )
     assert znames == ["Z:x:0,1", "Z:x:3,0", "Z:y:0,2", "Z:y:6,0"]
     zids = [v for v, lab in g.labels if lab.startswith("Z:")]
     for k in range(9):
         pk = g.find_label(f"p:{k}")
-        assert sum(1 for u in g.neighbors(pk) if u in zids) == 4
+        assert sum(1 for u in bit_indices(g.adj[pk]) if u in zids) == 4
     # Z is a 12-clique
     assert sum(1 for u, v in g.edges() if u in zids and v in zids) == 66
     assert diameter(gadget_cv_unbounded(40)) == 2
@@ -161,10 +164,11 @@ def test_ce_unbounded_gadget():
             assert g.has_edge(pi, xj) == ((i - j) % 3 in (0, 1))
     for l in (3, 4, 5):
         gl = gadget_ce_unbounded(20, l)
+        labels = dict(gl.labels)
         for i in range(21):
             pi = gl.find_label(f"p:{i}")
             apex_deg = sum(
-                1 for u in gl.neighbors(pi) if gl.label_map.get(u, "").startswith("x:")
+                1 for u in bit_indices(gl.adj[pi]) if labels.get(u, "").startswith("x:")
             )
             assert apex_deg == l - 1
     # structural lemma: every apex is adjacent to p_{j-1} or p_j
@@ -232,11 +236,11 @@ def test_gadget_count_formulas_across_sweeps():
 
 
 def test_subdivided_witnesses():
-    b2 = subdivided_witness("biclique-1-sub", 2)
+    b2 = build_family("sub-biclique:2")
     assert b2.n == 8 and diameter(b2) == 4
-    assert are_isomorphic(subdivided_witness("clique-2-sub", 3), cycle_graph(9))
-    assert diameter(subdivided_witness("clique-2-sub", 4)) == 5
-    assert diameter(subdivided_witness("biclique-1-sub", 3)) == 4
+    assert are_isomorphic(build_family("sub-clique:3"), cycle_graph(9))
+    assert diameter(build_family("sub-clique:4")) == 5
+    assert diameter(build_family("sub-biclique:3")) == 4
 
 
 def test_family_spec_round_trip():

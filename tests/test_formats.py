@@ -1,6 +1,5 @@
 import pytest
 
-from diamwidth.census import enumerate_all_graphs
 from diamwidth.families import complete_graph, cycle_bouquet, path_graph, wall
 from diamwidth.formats import (
     FormatError,
@@ -11,6 +10,7 @@ from diamwidth.formats import (
     to_edgelist,
     to_graph6,
 )
+from oracles import atlas_graphs
 
 
 def test_known_graph6_encodings():
@@ -21,8 +21,8 @@ def test_known_graph6_encodings():
 
 
 def test_graph6_round_trip_all_small_graphs():
-    for level in enumerate_all_graphs(5)[1:]:
-        for g in level:
+    for g in atlas_graphs():
+        if g.n <= 5:
             assert from_graph6(to_graph6(g)) == g
 
 
@@ -61,4 +61,4 @@ def Graph0(g):
 def test_labels_sidecar():
     g = wall(2)
     back = labels_from_json(labels_to_json(g))
-    assert back == g.label_map
+    assert back == dict(g.labels)

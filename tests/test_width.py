@@ -10,12 +10,11 @@ from diamwidth.families import (
     cycle_graph,
     gadget_cv_unbounded,
     path_graph,
-    path_vertex_ids,
     spider,
     wall,
 )
 from diamwidth.graphs import edgeless_graph, graph_from_edges, induced_subgraph
-from diamwidth.paths import PathWitness, longest_path
+from diamwidth.paths import longest_path
 from diamwidth.polarity import er_polarity_graph
 from diamwidth.width import (
     EliminationForest,
@@ -141,11 +140,8 @@ def test_bounds():
     lo, hi = treedepth_bounds(path_graph(16))
     assert lo >= 4 and hi <= 16
     assert lo <= treedepth_exact(path_graph(16)).value <= hi
-    # big gadget: feed the labelled path as an explicit witness
     g = gadget_cv_unbounded(63)
-    ids = path_vertex_ids(g)
-    witness = PathWitness(tuple(ids), "plain", False)
-    lo, hi = treedepth_bounds(g, witness)
+    lo, hi = treedepth_bounds(g)
     assert lo >= 6
     res = treedepth_exact(g)  # over the limit: bounds, not a silent value
     assert not res.exact and res.value is None and res.bounds is not None
