@@ -1,10 +1,11 @@
-"""Experiment harness and theorem-check bundles.
+"""Experiment plans and the theorem-check bundles written as plans.
 
 ``run_experiment`` sweeps a family over a parameter range, runs declared
-checks per instance (diameter target, pattern freeness, width values or
-bounds) and emits one CSV row per instance.  ``verify_theorem`` runs a
-named bundle of desk-scale checks behind each headline construction and
-reports per-check status and runtimes.
+checks per instance (diameter target, pattern freeness, induced path,
+width values or bounds) and emits one CSV row per instance.
+``verify_theorem`` runs the plans of a named bundle behind each headline
+construction through the same sweep and reports per-check status and
+runtimes.
 """
 
 from __future__ import annotations
@@ -14,24 +15,8 @@ import time
 from dataclasses import dataclass
 
 from .containment import ABSENT, BUDGET, DEFAULT_BUDGET, has_subgraph
-from .cycles import cycles_through_vertex, vtype_or_etype_free, cycle_packing
-from .families import (
-    apex_path,
-    build_family,
-    ce_pattern,
-    complete_bipartite,
-    gadget_cv_unbounded,
-    gadget_ce_unbounded,
-    gadget_samecyc,
-    gadget_triangle_free_cw,
-    h_graph,
-    parse_family_spec,
-    path_vertex_ids,
-    samecyc_pattern,
-)
-from .atlas import has_triangle
-from .graphs import diameter
-from .polarity import absolute_points, er_polarity_graph, max_common_neighbors
+from .families import build_family, parse_family_spec
+from .graphs import diameter, induced_subgraph, is_path_graph
 from .width import treedepth_bounds, treedepth_exact
 
 EXPERIMENT_CSV_SCHEMA = "diamwidth-experiment/v1"
@@ -45,7 +30,16 @@ class ExperimentPlan:
     "checks": [{"kind": "diameter", "expect": 2},
                {"kind": "free", "relation": "subgraph",
                 "pattern": "hgraph:3,1", "expect": true},
+               {"kind": "path", "within": ["p:"]},
                {"kind": "width", "parameter": "td", "mode": "bounds"}]}
+
+    ``diameter`` checks take ``expect`` or ``expect_at_most``.  ``free``
+    checks pass iff the pattern's subgraph freeness equals ``expect``
+    (when given).  ``path`` checks pass iff the vertices induce a path.
+    ``within`` (free and path checks) keeps only the vertices whose label
+    starts with one of its prefixes.  An exact ``width`` check with
+    ``"expect": "increasing"`` passes iff each instance's value exceeds
+    the previous instance's.
     """
 
     family_template: str
@@ -60,75 +54,111 @@ class ExperimentPlan:
         missing = [key for key in ("family_template", "values") if key not in raw]
         if missing:
             raise ValueError(f"experiment plan lacks {' and '.join(missing)}")
-        plan = cls(
-            family_template=raw["family_template"],
-            values=tuple(int(v) for v in raw["values"]),
-            checks=tuple(raw.get("checks", [])),
-        )
+        plan = cls(raw["family_template"], raw["values"], raw.get("checks", []))
         plan.validate()
-        return plan
+        return cls(plan.family_template, tuple(plan.values), tuple(plan.checks))
 
     def validate(self) -> None:
+        if not isinstance(self.family_template, str):
+            raise ValueError("family_template must be a string")
+        if not isinstance(self.values, (list, tuple)) or not all(
+            isinstance(v, int) for v in self.values
+        ):
+            raise ValueError("values must be a list of integers")
+        if not isinstance(self.checks, (list, tuple)) or not all(
+            isinstance(chk, dict) for chk in self.checks
+        ):
+            raise ValueError("checks must be a list of objects")
         for v in self.values:
-            parse_family_spec(self.family_template.format(v))
+            try:
+                spec_text = self.family_template.format(v)
+            except (IndexError, KeyError):
+                raise ValueError("family_template takes one {} field") from None
+            parse_family_spec(spec_text)
         for chk in self.checks:
-            if chk.get("kind") not in ("diameter", "free", "width"):
-                raise ValueError(f"unknown check kind {chk.get('kind')!r}")
-            if chk["kind"] == "free":
+            kind = chk.get("kind")
+            if kind not in ("diameter", "free", "path", "width"):
+                raise ValueError(f"unknown check kind {kind!r}")
+            if "within" in chk and (
+                kind not in ("free", "path")
+                or not isinstance(chk["within"], (list, tuple))
+                or not chk["within"]
+                or not all(isinstance(p, str) for p in chk["within"])
+            ):
+                raise ValueError("within takes a list of label prefixes, on free and path checks")
+            if kind == "free":
+                if not isinstance(chk.get("pattern"), str):
+                    raise ValueError("free checks need a pattern")
                 parse_family_spec(chk["pattern"])
                 if chk.get("relation", "subgraph") != "subgraph":
                     raise ValueError("free checks support the subgraph relation only")
-            if chk["kind"] == "width":
+            if kind == "width":
                 if chk.get("parameter", "td") != "td":
                     raise ValueError("width checks support td only")
                 if chk.get("mode", "bounds") not in ("bounds", "exact"):
                     raise ValueError(f"unknown width mode {chk.get('mode')!r}")
+                if "expect" in chk and (chk["expect"], chk.get("mode")) != ("increasing", "exact"):
+                    raise ValueError('width checks expect only "increasing", in exact mode')
+
+
+def _check(g, chk: dict, budget, prev):
+    """Runs one check on one instance: (value, ok).  value is the CSV
+    cell; ok is False when an expectation fails or the budget runs out.
+    prev is the check's value on the sweep's previous instance, if any."""
+    kind = chk["kind"]
+    if "within" in chk:
+        prefixes = tuple(chk["within"])
+        g, _ = induced_subgraph(g, [v for v, lab in g.labels if lab.startswith(prefixes)])
+    if kind == "diameter":
+        dia = diameter(g)
+        return dia, dia == chk.get("expect", dia) and dia <= chk.get("expect_at_most", dia)
+    if kind == "free":
+        res = has_subgraph(g, build_family(chk["pattern"]), budget)
+        if res is BUDGET:
+            return "budget", False
+        free = res is ABSENT
+        return ("free" if free else "contains"), free == bool(chk.get("expect", free))
+    if kind == "path":
+        return ("path", True) if is_path_graph(g) else ("not-path", False)
+    if chk.get("mode", "bounds") == "bounds":
+        return "{}..{}".format(*treedepth_bounds(g)), True
+    res = treedepth_exact(g)
+    value = res.value if res.exact else "{}..{}".format(*res.bounds)
+    if chk.get("expect") != "increasing":
+        return value, True
+    return value, res.exact and (prev is None or (isinstance(prev, int) and value > prev))
+
+
+def _sweep(plan: ExperimentPlan, budget):
+    """Validates the plan, then builds each instance and runs every check
+    on it.  Yields (spec text, graph, [(cell, ok, seconds) per check]); a
+    failed expectation's cell ends in "!FAIL"."""
+    plan.validate()
+    last: dict[int, object] = {}
+    for v in plan.values:
+        spec_text = plan.family_template.format(v)
+        g = build_family(spec_text)
+        results = []
+        for idx, chk in enumerate(plan.checks):
+            t0 = time.perf_counter()
+            value, ok = _check(g, chk, budget, last.get(idx))
+            last[idx] = value
+            # a run-out budget is no answer, so there is no expectation to fail
+            cell = str(value) if ok or value == "budget" else f"{value}!FAIL"
+            results.append((cell, ok, time.perf_counter() - t0))
+        yield spec_text, g, results
 
 
 def run_experiment(plan: ExperimentPlan, budget: int | None = DEFAULT_BUDGET):
     """Returns (header, rows, ok).  ok is False when any expectation fails."""
-    plan.validate()
-    header = ["schema", "family", "n", "m"]
-    for idx, chk in enumerate(plan.checks):
-        header.append(f"check{idx}_{chk['kind']}")
     rows = []
     all_ok = True
-    for v in plan.values:
-        spec_text = plan.family_template.format(v)
-        g = build_family(spec_text)
-        row = [EXPERIMENT_CSV_SCHEMA, spec_text, str(g.n), str(g.m)]
-        for chk in plan.checks:
-            kind = chk["kind"]
-            if kind == "diameter":
-                dia = diameter(g)
-                cell = str(dia)
-                if "expect" in chk and dia != chk["expect"]:
-                    cell += "!FAIL"
-                    all_ok = False
-                if "expect_at_most" in chk and not dia <= chk["expect_at_most"]:
-                    cell += "!FAIL"
-                    all_ok = False
-            elif kind == "free":
-                pattern = build_family(chk["pattern"])
-                res = has_subgraph(g, pattern, budget)
-                if res is BUDGET:
-                    cell = "budget"
-                    all_ok = False
-                else:
-                    free = res is ABSENT
-                    cell = "free" if free else "contains"
-                    if "expect" in chk and free != bool(chk["expect"]):
-                        cell += "!FAIL"
-                        all_ok = False
-            else:  # width
-                if chk.get("mode", "bounds") == "exact":
-                    res = treedepth_exact(g)
-                    cell = str(res.value) if res.exact else "{}..{}".format(*res.bounds)
-                else:
-                    lo, hi = treedepth_bounds(g)
-                    cell = f"{lo}..{hi}"
-            row.append(cell)
-        rows.append(row)
+    for spec_text, g, results in _sweep(plan, budget):
+        rows.append([EXPERIMENT_CSV_SCHEMA, spec_text, str(g.n), str(g.m)])
+        rows[-1] += [cell for cell, _ok, _s in results]
+        all_ok &= all(ok for _cell, ok, _s in results)
+    header = ["schema", "family", "n", "m"]
+    header += [f"check{idx}_{chk['kind']}" for idx, chk in enumerate(plan.checks)]
     return header, rows, all_ok
 
 
@@ -177,222 +207,77 @@ class TheoremReport:
         )
 
 
-def _run_checks(key: str, steps) -> TheoremReport:
-    results = []
-    for name, fn in steps:
-        t0 = time.perf_counter()
-        try:
-            ok, detail = fn()
-        except Exception as exc:  # noqa: BLE001 - reported, not masked
-            ok, detail = False, f"error: {exc}"
-        results.append(CheckResult(name, ok, time.perf_counter() - t0, detail))
-    return TheoremReport(key, tuple(results))
+def _free(pattern: str, *within: str) -> dict:
+    chk = {"kind": "free", "pattern": pattern, "expect": True}
+    return {**chk, "within": list(within)} if within else chk
 
 
-def _check_thm5_gadget() -> TheoremReport:
-    steps = []
-    for h in (2, 3, 4):
-        g = gadget_triangle_free_cw(h)
+_DIAMETER_2 = {"kind": "diameter", "expect": 2}
 
-        def triangle_free(g=g):
-            return not has_triangle(g), f"n={g.n}"
-
-        def diameter_two(g=g):
-            dia = diameter(g)
-            return dia == 2, f"diameter={dia}"
-
-        steps.append((f"h={h} triangle-free", triangle_free))
-        steps.append((f"h={h} diameter 2", diameter_two))
-    return _run_checks("thm5-gadget", steps)
-
-
-def _check_thm10_family() -> TheoremReport:
-    steps = []
-    for q in (2, 3, 5, 7):
-        g = er_polarity_graph(q)
-
-        def counts(g=g, q=q):
-            want_n = q * q + q + 1
-            want_m = q * (q + 1) ** 2 // 2
-            return (g.n, g.m) == (want_n, want_m), f"n={g.n} m={g.m}"
-
-        def absolutes(g=g, q=q):
-            degq = [v for v in range(g.n) if g.degree(v) == q]
-            return (
-                len(degq) == q + 1 and sorted(degq) == sorted(absolute_points(q)),
-                f"{len(degq)} degree-{q} vertices",
-            )
-
-        def c4_free(g=g):
-            return max_common_neighbors(g) <= 1, "pair scan"
-
-        def diameter_two(g=g):
-            return diameter(g) == 2, ""
-
-        steps.append((f"q={q} counts", counts))
-        steps.append((f"q={q} absolute points", absolutes))
-        steps.append((f"q={q} C4-free", c4_free))
-        steps.append((f"q={q} diameter 2", diameter_two))
-
-    def growth():
-        a = treedepth_exact(er_polarity_graph(2)).value
-        b = treedepth_exact(er_polarity_graph(3)).value
-        return a < b, f"td: {a} < {b}"
-
-    steps.append(("treedepth growth q=2 -> q=3", growth))
-    return _run_checks("thm10-family", steps)
-
-
-def _check_thm15_gadget() -> TheoremReport:
-    steps = []
-    for n in (24, 32, 48):
-        g = gadget_cv_unbounded(n)
-
-        def diameter_two(g=g):
-            return diameter(g) == 2, ""
-
-        def induced_path(g=g, n=n):
-            ids = path_vertex_ids(g)
-            if len(ids) != n + 1:
-                return False, f"{len(ids)} path vertices"
-            for ia in range(len(ids)):
-                for ib in range(ia + 1, len(ids)):
-                    if g.has_edge(ids[ia], ids[ib]) != (ib - ia == 1):
-                        return False, f"chord at positions ({ia},{ib})"
-            return True, f"{len(ids)} path vertices, chordless"
-
-        def second_z(g=g):
-            zids = [v for v, lab in g.labels if lab.startswith("Z:")]
-            zmask = 0
-            for z in zids:
-                zmask |= 1 << z
-            for v, lab in g.labels:
-                if lab.startswith("Z:x"):
-                    if cycles_through_vertex(
-                        g, v, 8, avoid=zmask & ~(1 << v), limit=1, budget=None
-                    ):
-                        return False, f"lone-Z C8 at {lab}"
-                if lab.startswith("Z:y"):
-                    if cycles_through_vertex(
-                        g, v, 6, avoid=zmask & ~(1 << v), limit=1, budget=None
-                    ):
-                        return False, f"lone-Z C6 at {lab}"
-            return True, "every anchored C8/C6 uses a second clique vertex"
-
-        steps.append((f"n={n} diameter 2", diameter_two))
-        steps.append((f"n={n} induced path on labels", induced_path))
-        steps.append((f"n={n} second clique vertex", second_z))
-
-    def packing_refuted():
-        g = gadget_cv_unbounded(32)
-        anchor = ("vertex", g.find_label("Z:x:0,1"))
-        res = cycle_packing(g, anchor, {8: 12})
-        return res is ABSENT, f"result={res!r}"
-
-    steps.append(("n=32 twelve-C8 packing refuted at x(0,1)", packing_refuted))
-    return _run_checks("thm15-gadget", steps)
-
-
-def _check_thm17_gadget() -> TheoremReport:
-    n, l = 40, 3
-    g = gadget_ce_unbounded(n, l)
-    k = 2 * (2 * l - 3)
-    steps = [
-        (
-            "pattern l=3",
-            lambda: (ce_pattern(3) == "110", ce_pattern(3)),
+# Each bundle is the plans whose checks back one construction.  Counts,
+# absolute points and bit patterns are pinned by the tests instead.
+THEOREM_CHECKS: dict[str, tuple[ExperimentPlan, ...]] = {
+    "thm5-gadget": (
+        ExperimentPlan("gadget-cw:{}", (2, 3, 4), (_free("cycle:3"), _DIAMETER_2)),
+    ),
+    "thm10-family": (
+        ExperimentPlan("er-polarity:{}", (2, 3, 5, 7), (_free("cycle:4"), _DIAMETER_2)),
+        ExperimentPlan(
+            "er-polarity:{}",
+            (2, 3),
+            ({"kind": "width", "parameter": "td", "mode": "exact", "expect": "increasing"},),
         ),
-        (
-            "pattern l=4",
-            lambda: (ce_pattern(4) == "11010", ce_pattern(4)),
-        ),
-        (
-            f"n={n} diameter 2",
-            lambda: (diameter(g) == 2, ""),
-        ),
-        (
-            f"n={n} no edge anchors {k} hexagons",
-            lambda: (
-                vtype_or_etype_free(g, [2 * l] * k, "edge", budget=None).free,
-                f"quota {k} x C{2*l}",
+    ),
+    # Every anchored C8 through an x-type clique vertex, and every C6
+    # through a y-type one, uses a second clique vertex: the path plus
+    # that one vertex has no such cycle.  So twelve C8s through x(0,1),
+    # disjoint apart from it, would need twelve other clique vertices;
+    # there are eleven.
+    "thm15-gadget": (
+        ExperimentPlan(
+            "gadget-cv:{}",
+            (24, 32, 48),
+            (_DIAMETER_2, {"kind": "path", "within": ["p:"]})
+            + tuple(_free("cycle:8", "p:", f"Z:x:{ij}") for ij in "0,1 1,2 2,3 3,0".split())
+            + tuple(
+                _free("cycle:6", "p:", f"Z:y:{ij}")
+                for ij in "0,2 1,3 2,4 3,5 4,6 5,7 6,0 7,1".split()
             ),
         ),
-    ]
-    return _run_checks("thm17-gadget", steps)
-
-
-def _check_samecyc_gadgets() -> TheoremReport:
-    n = 40
-    steps = []
-    ga = gadget_samecyc(n, "A")
-    gb = gadget_samecyc(n, "B", 4)
-    steps.append(("variant A diameter <= 3", lambda: (diameter(ga) <= 3, str(diameter(ga)))))
-    steps.append(("variant B diameter <= 3", lambda: (diameter(gb) <= 3, str(diameter(gb)))))
-
-    def side_free(label: str):
-        g = gb
-        apex = g.find_label(label)
-        ids = path_vertex_ids(g) + [apex]
-        from .graphs import induced_subgraph
-
-        sub, _ = induced_subgraph(g, ids)
-        from .cycles import find_cycle_subgraph
-
-        hit = find_cycle_subgraph(sub, 8, budget=None)
-        return hit is ABSENT, f"{label}-side C8 search"
-
-    steps.append(("variant B x-side C8-free", lambda: side_free("x")))
-    steps.append(("variant B y-side C8-free", lambda: side_free("y")))
-    for l in range(2, 7):
-        want = "11" + "01" * (l - 2) + "00" + "10" * (l - 2)
-        steps.append(
+    ),
+    "thm17-gadget": (
+        ExperimentPlan("gadget-ce:{},3", (40,), (_DIAMETER_2, _free("ce:6x6"))),
+    ),
+    "samecyc-gadgets": (
+        ExperimentPlan("samecyc:{},A", (40,), ({"kind": "diameter", "expect_at_most": 3},)),
+        ExperimentPlan(
+            "samecyc:{},B,4",
+            (40,),
             (
-                f"variant B pattern l={l}",
-                lambda l=l, want=want: (
-                    samecyc_pattern("B", l) == want and len(want) == 4 * l - 4,
-                    samecyc_pattern("B", l),
-                ),
-            )
-        )
-    steps.append(
-        ("variant A pattern", lambda: (samecyc_pattern("A") == "1100", "1100"))
-    )
-    return _run_checks("samecyc-gadgets", steps)
-
-
-def _check_h3_contrast() -> TheoremReport:
-    h3 = h_graph(3, 1)
-    steps = []
-    for n in (10, 15, 20, 25):
-        g = apex_path(n)
-
-        def free(g=g):
-            res = has_subgraph(g, h3, budget=None)
-            return res is ABSENT, ""
-
-        def diam(g=g):
-            return diameter(g) <= 2, str(diameter(g))
-
-        steps.append((f"P_{n} join K_1 H3-subgraph-free", free))
-        steps.append((f"P_{n} join K_1 diameter <= 2", diam))
-
-    def knn_c5_free():
-        g = complete_bipartite(5, 5)
-        res = has_subgraph(g, build_family("cycle:5"), budget=None)
-        return res is ABSENT and diameter(g) == 2, ""
-
-    steps.append(("K_{5,5} C5-subgraph-free, diameter 2", knn_c5_free))
-    return _run_checks("h3-contrast", steps)
-
-
-THEOREM_CHECKS = {
-    "thm5-gadget": _check_thm5_gadget,
-    "thm10-family": _check_thm10_family,
-    "thm15-gadget": _check_thm15_gadget,
-    "thm17-gadget": _check_thm17_gadget,
-    "samecyc-gadgets": _check_samecyc_gadgets,
-    "h3-contrast": _check_h3_contrast,
+                {"kind": "diameter", "expect_at_most": 3},
+                _free("cycle:8", "p:", "x"),
+                _free("cycle:8", "p:", "y"),
+            ),
+        ),
+    ),
+    "h3-contrast": (
+        ExperimentPlan(
+            "apexpath:{},1",
+            (10, 15, 20, 25),
+            (_free("hgraph:3,1"), {"kind": "diameter", "expect_at_most": 2}),
+        ),
+        ExperimentPlan("biclique:5,{}", (5,), (_free("cycle:5"), _DIAMETER_2)),
+    ),
 }
+
+
+def _check_name(chk: dict) -> str:
+    """The check in words, e.g. "free pattern=cycle:8 expect=True within=p:+x"."""
+    words = [chk["kind"]]
+    for key, val in chk.items():
+        if key != "kind":
+            words.append(f"{key}={'+'.join(val) if isinstance(val, (list, tuple)) else val}")
+    return " ".join(words)
 
 
 def verify_theorem(key: str) -> TheoremReport:
@@ -400,4 +285,9 @@ def verify_theorem(key: str) -> TheoremReport:
         raise KeyError(
             f"unknown theorem check {key!r}; known: {sorted(THEOREM_CHECKS)}"
         )
-    return THEOREM_CHECKS[key]()
+    results = []
+    for plan in THEOREM_CHECKS[key]:
+        for spec_text, _g, outcomes in _sweep(plan, DEFAULT_BUDGET):
+            for chk, (cell, ok, seconds) in zip(plan.checks, outcomes):
+                results.append(CheckResult(f"{spec_text} {_check_name(chk)}", ok, seconds, cell))
+    return TheoremReport(key, tuple(results))

@@ -180,18 +180,27 @@ def wall(h: int, k: int = 0) -> Graph:
 # -- apex-path patterns ------------------------------------------------------
 
 
+def _apexed_path(
+    n: int, apexes: list[tuple[str, Callable[[int], bool]]], clique: bool
+) -> Graph:
+    """Path ids 0..n-1 ("p:i"), then one id per (label, test) apex in
+    order, adjacent to p_i iff test(i); the apexes form a clique if asked."""
+    edges = [(i, i + 1) for i in range(n - 1)]
+    labels = {i: f"p:{i}" for i in range(n)}
+    for a, (label, test) in enumerate(apexes):
+        labels[n + a] = label
+        edges += [(n + a, i) for i in range(n) if test(i)]
+    if clique:
+        edges += list(combinations(range(n, n + len(apexes)), 2))
+    return graph_from_edges(n + len(apexes), edges, labels)
+
+
 def patterned_apex_path(n: int, b: str) -> Graph:
     if n < 1:
         raise ValueError("patterned path needs n >= 1")
     if not b or set(b) - {"0", "1"}:
         raise ValueError("pattern must be a nonempty bit string")
-    edges = [(i, i + 1) for i in range(n - 1)]
-    labels = {i: f"p:{i}" for i in range(n)}
-    labels[n] = "apex"
-    for i in range(n):
-        if b[i % len(b)] == "1":
-            edges.append((n, i))
-    return graph_from_edges(n + 1, edges, labels)
+    return _apexed_path(n, [("apex", lambda i: b[i % len(b)] == "1")], False)
 
 
 def apex_path(n: int) -> Graph:
@@ -252,26 +261,9 @@ def gadget_cv_unbounded(n: int) -> Graph:
     """
     if n < 1:
         raise ValueError("gadget needs n >= 1")
-    edges = [(i, i + 1) for i in range(n)]
-    labels = {i: f"p:{i}" for i in range(n + 1)}
-    z0 = n + 1
-    zids = []
-    for i, j in _CV_X_PAIRS:
-        labels[z0 + len(zids)] = f"Z:x:{i},{j}"
-        zids.append(z0 + len(zids))
-    for i, j in _CV_Y_PAIRS:
-        labels[z0 + len(zids)] = f"Z:y:{i},{j}"
-        zids.append(z0 + len(zids))
-    edges += list(combinations(zids, 2))
-    for t, (i, j) in enumerate(_CV_X_PAIRS):
-        for k in range(n + 1):
-            if k % 4 in (i, j):
-                edges.append((zids[t], k))
-    for t, (i, j) in enumerate(_CV_Y_PAIRS):
-        for k in range(n + 1):
-            if k % 8 in (i, j):
-                edges.append((zids[4 + t], k))
-    return graph_from_edges(n + 13, edges, labels)
+    apexes = [(f"Z:x:{i},{j}", lambda k, i=i, j=j: k % 4 in (i, j)) for i, j in _CV_X_PAIRS]
+    apexes += [(f"Z:y:{i},{j}", lambda k, i=i, j=j: k % 8 in (i, j)) for i, j in _CV_Y_PAIRS]
+    return _apexed_path(n + 1, apexes, True)
 
 
 def ce_pattern(l: int) -> str:
@@ -288,15 +280,8 @@ def gadget_ce_unbounded(n: int, l: int) -> Graph:
         raise ValueError("gadget needs n >= 1")
     pattern = ce_pattern(l)
     w = 2 * l - 3
-    edges = [(i, i + 1) for i in range(n)]
-    labels = {i: f"p:{i}" for i in range(n + 1)}
-    for j in range(w):
-        labels[n + 1 + j] = f"x:{j}"
-    for i in range(n + 1):
-        for j in range(w):
-            if pattern[(i - j) % w] == "1":
-                edges.append((i, n + 1 + j))
-    return graph_from_edges(n + 1 + w, edges, labels)
+    apexes = [(f"x:{j}", lambda i, j=j: pattern[(i - j) % w] == "1") for j in range(w)]
+    return _apexed_path(n + 1, apexes, False)
 
 
 def samecyc_pattern(variant: str, l: int | None = None) -> str:
@@ -320,22 +305,9 @@ def gadget_samecyc(n: int, variant: str, l: int | None = None) -> Graph:
     if n < 1:
         raise ValueError("gadget needs n >= 1")
     pattern = samecyc_pattern(variant, l)
-    edges = [(i, i + 1) for i in range(n)]
-    labels = {i: f"p:{i}" for i in range(n + 1)}
-    x, y = n + 1, n + 2
-    labels[x] = "x"
-    labels[y] = "y"
-    for i in range(n + 1):
-        edges.append((x if pattern[i % len(pattern)] == "1" else y, i))
-    return graph_from_edges(n + 3, edges, labels)
-
-
-def path_vertex_ids(g: Graph) -> list[int]:
-    """Ids labelled p:0..p:k, in path order (for the patterned gadgets)."""
-    pairs = sorted(
-        (int(lab.split(":")[1]), v) for v, lab in g.labels if lab.startswith("p:")
-    )
-    return [v for _k, v in pairs]
+    sides = (("x", "1"), ("y", "0"))
+    apexes = [(side, lambda i, b=b: pattern[i % len(pattern)] == b) for side, b in sides]
+    return _apexed_path(n + 1, apexes, False)
 
 
 # -- FamilySpec: the CLI-facing parameterization ----------------------------

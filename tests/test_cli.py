@@ -1,6 +1,9 @@
 import json
 
+import pytest
+
 from diamwidth.cli import build_parser, main
+from diamwidth.experiments import THEOREM_CHECKS
 from diamwidth.formats import read_graph
 from diamwidth.graphs import DEFAULT_BUDGET
 
@@ -191,8 +194,9 @@ def test_unknown_theorem_key_is_usage_error(capsys):
     assert run(["verify-theorem", "nonexistent"], capsys)[0] == 2
 
 
-def test_verify_theorem_cli(capsys):
-    code, out = run(["verify-theorem", "thm17-gadget"], capsys)
+@pytest.mark.parametrize("key", sorted(THEOREM_CHECKS))
+def test_verify_theorem_cli(key, capsys):
+    code, out = run(["verify-theorem", key], capsys)
     assert code == 0
     assert json.loads(out)["passed"]
 
@@ -232,10 +236,21 @@ def test_experiment_rejects_malformed_plans(tmp_path, capsys):
         ([1], "must be a JSON object"),
         ({"values": [3]}, "lacks family_template"),
         ({"family_template": "path:{}"}, "lacks values"),
+        ({"family_template": 5, "values": [3]}, "family_template must be a string"),
+        ({"family_template": "path:{1}", "values": [3]}, "family_template takes one {} field"),
+        ({"family_template": "path:{}", "values": 5}, "values must be a list of integers"),
+        ({"family_template": "path:{}", "values": [3], "checks": [1]}, "checks must be a list"),
+        ({"family_template": "path:{}", "values": [3], "checks": "abc"}, "checks must be a list"),
+        (
+            {"family_template": "path:{}", "values": [3], "checks": [{"kind": "free"}]},
+            "free checks need a pattern",
+        ),
     ):
         plan.write_text(json.dumps(raw))
         assert main(["experiment", "--plan", str(plan)]) == 2
-        assert message in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert message in err
+        assert "Traceback" not in err
 
 
 def test_determinism_byte_identical(tmp_path, capsys):

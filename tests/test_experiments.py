@@ -3,13 +3,15 @@ import math
 
 import pytest
 
+from diamwidth import families
 from diamwidth.experiments import (
     ExperimentPlan,
     experiment_csv,
     run_experiment,
     verify_theorem,
 )
-from diamwidth.families import apex_path
+from diamwidth.families import apex_path, gadget_cv_unbounded
+from diamwidth.graphs import graph_from_edges
 from diamwidth.width import treedepth_exact
 
 
@@ -35,6 +37,10 @@ def test_plan_round_trip_and_validation():
         {"kind": "free", "relation": "minor", "pattern": "clique:4"},
         {"kind": "width", "parameter": "tw"},
         {"kind": "width", "mode": "upper"},
+        {"kind": "width", "expect": "increasing"},  # bounds mode cannot increase
+        {"kind": "diameter", "within": ["p:"]},
+        {"kind": "path", "within": "p:"},
+        {"kind": "path", "within": []},
     ):
         with pytest.raises(ValueError):
             ExperimentPlan.from_json(
@@ -49,6 +55,16 @@ def test_plan_must_be_an_object_with_template_and_values():
         ({"values": [3]}, "experiment plan lacks family_template"),
         ({"family_template": "path:{}"}, "experiment plan lacks values"),
         ({}, "experiment plan lacks family_template and values"),
+        ({"family_template": 5, "values": [3]}, "family_template must be a string"),
+        ({"family_template": "path:{1}", "values": [3]}, "family_template takes one {} field"),
+        ({"family_template": "path:{}", "values": 5}, "values must be a list of integers"),
+        ({"family_template": "path:{}", "values": ["3"]}, "values must be a list of integers"),
+        ({"family_template": "path:{}", "values": [3], "checks": [1]}, "checks must be a list"),
+        ({"family_template": "path:{}", "values": [3], "checks": "abc"}, "checks must be a list"),
+        (
+            {"family_template": "path:{}", "values": [3], "checks": [{"kind": "free"}]},
+            "free checks need a pattern",
+        ),
     ):
         with pytest.raises(ValueError, match=message):
             ExperimentPlan.from_json(json.dumps(raw))
@@ -125,3 +141,50 @@ def test_verify_theorem_registry():
     payload = json.loads(report.to_json())
     assert payload["key"] == "thm5-gadget"
     assert all("seconds" in c for c in payload["checks"])
+
+
+def test_path_check_within_labels_can_fail():
+    plan = ExperimentPlan(
+        "apexpath:{},1001",
+        (6,),
+        ({"kind": "path", "within": ["p:"]}, {"kind": "path", "within": ["p:", "apex"]}),
+    )
+    _, rows, ok = run_experiment(plan)
+    assert not ok
+    assert rows[0][4:] == ["path", "not-path!FAIL"]
+
+
+def test_free_check_within_labels_can_fail():
+    # x(0,1) sees p_0 and p_4: the path plus that vertex has a C6
+    plan = ExperimentPlan(
+        "gadget-cv:{}",
+        (24,),
+        (
+            {"kind": "free", "pattern": "cycle:6", "within": ["p:", "Z:x:0,1"], "expect": True},
+            {"kind": "free", "pattern": "cycle:8", "within": ["p:", "Z:x:0,1"], "expect": True},
+        ),
+    )
+    _, rows, ok = run_experiment(plan)
+    assert not ok
+    assert rows[0][4:] == ["contains!FAIL", "free"]
+
+
+def test_increasing_width_can_fail():
+    check = {"kind": "width", "parameter": "td", "mode": "exact", "expect": "increasing"}
+    _, rows, ok = run_experiment(ExperimentPlan("path:{}", (3, 4, 5), (check,)))
+    assert not ok
+    assert [r[4] for r in rows] == ["2", "3", "3!FAIL"]
+    assert run_experiment(ExperimentPlan("path:{}", (3, 4, 8), (check,)))[2]
+
+
+def test_chord_on_the_cv_gadget_path_fails_its_bundle(monkeypatch):
+    def chorded(n):
+        g = gadget_cv_unbounded(n)
+        p0, p5 = g.find_label("p:0"), g.find_label("p:5")
+        return graph_from_edges(g.n, list(g.edges()) + [(p0, p5)], dict(g.labels))
+
+    monkeypatch.setitem(families._BUILDERS, "gadget-cv", chorded)
+    report = verify_theorem("thm15-gadget")
+    assert not report.passed
+    failed = {c.name for c in report.checks if not c.passed}
+    assert "gadget-cv:24 path within=p:" in failed

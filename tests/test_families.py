@@ -15,7 +15,6 @@ from diamwidth.families import (
     h_graph,
     parse_family_spec,
     path_graph,
-    path_vertex_ids,
     patterned_apex_path,
     samecyc_pattern,
     spider,
@@ -217,7 +216,7 @@ def test_gadget_paths_are_induced_on_labels():
         gadget_ce_unbounded(20, 3),
         gadget_samecyc(20, "B", 5),
     ):
-        ids = path_vertex_ids(g)
+        ids = [g.find_label(f"p:{i}") for i in range(21)]
         for a in range(len(ids)):
             for b in range(a + 1, len(ids)):
                 assert g.has_edge(ids[a], ids[b]) == (b - a == 1)

@@ -36,6 +36,8 @@ def test_er_graph_vital_statistics():
         assert degs[0] == q  # min degree q: the unbounded-treewidth driver
         assert sum(1 for d in degs if d == q) == q + 1
         assert len(absolute_points(q)) == q + 1
+        # the degree-q vertices are exactly the absolute points
+        assert [v for v in range(g.n) if g.degree(v) == q] == absolute_points(q)
         assert all(d in (q, q + 1) for d in degs)
 
 
