@@ -25,16 +25,16 @@ from typing import Callable
 
 from .canon import are_isomorphic
 from .containment import ABSENT, has_induced_subgraph
-from .cycles import cycle_packing, find_cycle_subgraph
+from .cycles import cycle_packing  # unused here: perfbench/layers.py patches this name
+from .cycles import find_cycle_subgraph, vtype_or_etype_free
 from .families import h_graph, path_graph
 from .graphs import (
-    DEFAULT_BUDGET,
     Budget,
     BudgetExhausted,
     Graph,
     bit_indices,
-    budgeted,
     component_masks,
+    cycle_order,
     cyclomatic_number,
     induced_subgraph,
     is_connected,
@@ -103,38 +103,19 @@ def subgraph_of_subdivided_star(g: Graph) -> bool:
     return is_forest(g) and sum(1 for d in g.degrees if d >= 3) <= 1
 
 
-def hgraph2_level(g: Graph, budget: int | Budget | None = DEFAULT_BUDGET):
-    """Minimum l with g a subgraph of the spine-2 H-graph at level l, None
-    if there is none, or BUDGET if the level searches ran out first."""
-    if g.n == 0 or not is_forest(g):
-        return None
-    degs = g.degrees
-    if max(degs, default=0) > 3 or sum(1 for d in degs if d >= 3) > 2:
-        return None
-    from .containment import has_subgraph
-
-    def search(budget):
-        for level in range(1, g.n + 1):
-            if has_subgraph(h_graph(2, level), g, budget) is not ABSENT:
-                return level
-        return None
-
-    return budgeted(search, budget)
+def subgraph_of_hgraph2(g: Graph) -> bool:
+    """Member of the closure of spine-2 H-graphs under subgraphs: a forest
+    of maximum degree at most 3 with at most two degree-3 vertices, and
+    with a common neighbour if there are two (they map to the H-graph's
+    branch vertices, whose neighbourhoods meet in the spine's middle)."""
+    threes = [v for v, d in enumerate(g.degrees) if d == 3]
+    if g.n == 0 or max(g.degrees) > 3 or len(threes) > 2 or not is_forest(g):
+        return False
+    return len(threes) < 2 or bool(g.adj[threes[0]] & g.adj[threes[1]])
 
 
 def has_triangle(g: Graph) -> bool:
     return any((g.adj[u] & g.adj[v]) for u, v in g.edges())
-
-
-def is_cycle_graph_of(g: Graph, length: int | None = None) -> int | None:
-    """The cycle length if g is exactly a cycle (optionally of ``length``)."""
-    if g.n < 3 or g.m != g.n or not is_connected(g):
-        return None
-    if any(d != 2 for d in g.degrees):
-        return None
-    if length is not None and g.n != length:
-        return None
-    return g.n
 
 
 def parse_vtype(g: Graph) -> tuple[int, ...] | None:
@@ -212,58 +193,39 @@ def subgraph_of_uniform_vtype(g: Graph) -> bool:
     return True
 
 
-# -- heavier supergraph checks (spend from the query's Budget) -----------------
+# -- bouquet supergraph checks (spend from the query's Budget) ----------------
 
 
-def _packs_at_some_anchor(g: Graph, jobs, budget: Budget) -> bool:
-    """Whether ``cycle_packing`` fills some (anchor, quota) of ``jobs``,
-    tried in order."""
-    return any(cycle_packing(g, anchor, quota, budget) is not ABSENT for anchor, quota in jobs)
+def _contains_cv_12x6_12x8(g: Graph, budget: Budget) -> bool:
+    return g.n >= 145 and not vtype_or_etype_free(g, [6] * 12 + [8] * 12, "vertex", budget).free
 
 
-def contains_cv_12x6_12x8(g: Graph, budget: Budget) -> bool:
-    if g.n < 145:
-        return False
-    quota = {6: 12, 8: 12}
-    return _packs_at_some_anchor(g, ((("vertex", v), quota) for v in range(g.n)), budget)
-
-
-def contains_ce_uniform(g: Graph, budget: Budget) -> bool:
+def _contains_ce_uniform(g: Graph, budget: Budget) -> bool:
     if cyclomatic_number(g) < 6:
         return False
     # C^E_{k*[2l]} with k = 2(2l-3), for each l >= 3 that fits in g
-    quotas = []
     l = 3
     while 2 + 2 * (2 * l - 3) * (2 * l - 2) <= g.n:
-        quotas.append((2 * l, 2 * (2 * l - 3)))
+        if not vtype_or_etype_free(g, [2 * l] * (2 * (2 * l - 3)), "edge", budget).free:
+            return True
         l += 1
-    jobs = ((("edge", u, v), {length: k}) for length, k in quotas for u, v in g.edges())
-    return _packs_at_some_anchor(g, jobs, budget)
+    return False
 
 
-def contains_samecyc_pair(g: Graph, budget: Budget) -> bool:
+def _contains_samecyc_pair(g: Graph, budget: Budget) -> bool:
     """A vertex- or edge-shared pair of cycles with lengths (4a, 4b),
     a,b >= 2, or (2l, 2l), l >= 4 -- the diameter-3 unbounded patterns."""
     if cyclomatic_number(g) < 2 or g.n < 14:  # smallest: edge-shared 8,8 pair
         return False
-    pairs = []
     for l1 in range(8, g.n + 1, 2):
         for l2 in range(l1, g.n + 1, 2):
             if l1 + l2 - 2 > g.n:
                 break
             if (l1 % 4 == 0 and l2 % 4 == 0) or l1 == l2:
-                pairs.append((l1, l2))
-
-    def jobs():
-        for l1, l2 in pairs:
-            quota = {l1: 2} if l1 == l2 else {l1: 1, l2: 1}
-            if l1 + l2 - 1 <= g.n:
-                for v in range(g.n):
-                    yield ("vertex", v), quota
-            for u, v in g.edges():
-                yield ("edge", u, v), quota
-
-    return _packs_at_some_anchor(g, jobs(), budget)
+                for mode in ("vertex", "edge"):
+                    if not vtype_or_etype_free(g, [l1, l2], mode, budget).free:
+                        return True
+    return False
 
 
 # -- the predicate table ------------------------------------------------------
@@ -295,23 +257,21 @@ PREDICATES: dict[str, Callable[[Graph, Budget], bool]] = {
     "apex_linear_forest": lambda g, b: is_apex_linear_forest(g),
     "script_s": lambda g, b: in_script_s(g),
     "sstar_subgraph": lambda g, b: subgraph_of_subdivided_star(g),
-    "hgraph2_subgraph": lambda g, b: hgraph2_level(g, b) is not None,
+    "hgraph2_subgraph": lambda g, b: subgraph_of_hgraph2(g),
     "unicyclic": lambda g, b: cyclomatic_number(g) == 1,
     "c3_subgraph": lambda g, b: has_triangle(g),
     "c4_subgraph": lambda g, b: max_common_neighbors(g) >= 2,
     "c6_subgraph": lambda g, b: find_cycle_subgraph(g, 6, b) is not ABSENT,
-    "is_c8": lambda g, b: is_cycle_graph_of(g, 8) is not None,
-    "even_cycle_10_to_24": lambda g, b: is_cycle_graph_of(g) in range(10, 25, 2),
-    "odd_cycle_ge5": lambda g, b: (
-        is_cycle_graph_of(g) is not None and g.n % 2 == 1 and g.n >= 5
-    ),
+    "is_c8": lambda g, b: g.n == 8 and cycle_order(g) is not None,
+    "even_cycle_10_to_24": lambda g, b: g.n in range(10, 25, 2) and cycle_order(g) is not None,
+    "odd_cycle_ge5": lambda g, b: g.n % 2 == 1 and g.n >= 5 and cycle_order(g) is not None,
     "is_h3": lambda g, b: g.n == 8 and g.m == 7 and are_isomorphic(g, h_graph(3, 1)),
     "vtype_pair_even6": lambda g, b: _even6_pair(parse_vtype(g)),
     "etype_pair_even6": lambda g, b: _even6_pair(parse_etype(g)),
     "vtype_uniform_subgraph": lambda g, b: subgraph_of_uniform_vtype(g),
-    "contains_cv_12x6_12x8": lambda g, b: contains_cv_12x6_12x8(g, b),
-    "contains_ce_uniform": lambda g, b: contains_ce_uniform(g, b),
-    "contains_samecyc_pair": lambda g, b: contains_samecyc_pair(g, b),
+    "contains_cv_12x6_12x8": lambda g, b: _contains_cv_12x6_12x8(g, b),
+    "contains_ce_uniform": lambda g, b: _contains_ce_uniform(g, b),
+    "contains_samecyc_pair": lambda g, b: _contains_samecyc_pair(g, b),
 }
 
 
@@ -510,10 +470,10 @@ def classify(
                 notes.append(f"unbounded holds for {label}")
                 break
     if relation == "subgraph" and parameter == "td" and d == 3:
-        k = is_cycle_graph_of(graphs[0])
-        if k is not None and k % 2 == 0 and k >= 8:
+        f = graphs[0]
+        if f.n % 2 == 0 and f.n >= 8 and cycle_order(f) is not None:
             notes.append("conjecture-even-cycles-d3 applies")
-        elif cyclomatic_number(graphs[0]) >= 2:
+        elif cyclomatic_number(f) >= 2:
             notes.append("conjecture-two-cycles-d3 applies")
     return Verdict("Open", None, "; ".join(notes), (), tuple(trace))
 

@@ -20,8 +20,6 @@ pattern goes to the branch-set search.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
-
 from .graphs import (
     ABSENT,
     BUDGET,  # re-exported: callers read the contract from this module
@@ -31,10 +29,11 @@ from .graphs import (
     bit_indices,
     budgeted,
     component_masks,
+    cycle_order,
     is_linear_forest,
 )
 from .cycles import find_cycle_subgraph
-from .paths import find_induced_path
+from .paths import find_induced_path  # unused here: perfbench/layers.py patches this name
 
 
 @dataclass(frozen=True)
@@ -205,7 +204,7 @@ def has_minor(host: Graph, pattern: Graph, budget: int | Budget | None = DEFAULT
 
 
 def _decide_minor(host: Graph, pattern: Graph, budget: Budget):
-    cyclic = _cyclic_order(pattern)
+    cyclic = cycle_order(pattern)
     if cyclic is not None:
         return _cycle_minor(host, cyclic, budget)
     if is_linear_forest(pattern):
@@ -214,20 +213,6 @@ def _decide_minor(host: Graph, pattern: Graph, budget: Budget):
             return ABSENT
         return Embedding("minor", branch_sets=tuple(frozenset((v,)) for v in emb.vertex_map))
     return _minor(host, pattern, budget)
-
-
-def _cyclic_order(pattern: Graph) -> list[int] | None:
-    """The pattern's vertices in cyclic order if it is a cycle on >= 3
-    vertices, else None."""
-    if pattern.n < 3 or any(d != 2 for d in pattern.degrees):
-        return None
-    walk, seen = [0], 1
-    while nxt := pattern.adj[walk[-1]] & ~seen:
-        low = nxt & -nxt
-        walk.append(low.bit_length() - 1)
-        seen |= low
-    # a 2-regular graph is one cycle iff the walk from 0 covers it
-    return walk if len(walk) == pattern.n else None
 
 
 def _cycle_minor(host: Graph, cyclic: list[int], budget: Budget):
@@ -342,44 +327,3 @@ def _minor(host: Graph, pattern: Graph, budget: Budget):
         branch[p] = frozenset(sets[pos])
     return Embedding("minor", branch_sets=tuple(branch))
 
-
-# -- the biclique-or-induced-path dichotomy witness --------------------------
-
-
-def find_biclique(host: Graph, r: int, s: int, budget: int | Budget | None = DEFAULT_BUDGET):
-    """K_{r,s} subgraph via common-neighbourhood enumeration."""
-    return budgeted(_biclique, host, r, s, budget)
-
-
-def _biclique(host: Graph, r: int, s: int, budget: Budget):
-    if r > s:
-        r, s = s, r
-    cands = [v for v in range(host.n) if host.degree(v) >= r]
-    for left in combinations(sorted(cands), r):
-        budget.spend()
-        common = (1 << host.n) - 1
-        for v in left:
-            common &= host.adj[v]
-        common &= ~sum(1 << v for v in left)
-        if common.bit_count() >= s:
-            right = []
-            for u in bit_indices(common):
-                right.append(u)
-                if len(right) == s:
-                    break
-            return Embedding("subgraph", tuple(left) + tuple(right))
-    return ABSENT
-
-
-def grs_witness(
-    g: Graph, r: int, s: int, l: int, budget: int | Budget | None = DEFAULT_BUDGET
-):
-    """A K_{r,s} subgraph ``Embedding`` if present, else an induced path on
-    at least l vertices (``PathWitness``); ``ABSENT`` only when both
-    searches were exhaustive, else ``BUDGET``.  Both share one budget."""
-
-    def search(budget):
-        emb = find_biclique(g, r, s, budget)
-        return emb if emb is not ABSENT else find_induced_path(g, l, budget)
-
-    return budgeted(search, budget)

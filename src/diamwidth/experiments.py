@@ -33,13 +33,13 @@ class ExperimentPlan:
                {"kind": "path", "within": ["p:"]},
                {"kind": "width", "parameter": "td", "mode": "bounds"}]}
 
-    ``diameter`` checks take ``expect`` or ``expect_at_most``.  ``free``
-    checks pass iff the pattern's subgraph freeness equals ``expect``
-    (when given).  ``path`` checks pass iff the vertices induce a path.
-    ``within`` (free and path checks) keeps only the vertices whose label
-    starts with one of its prefixes.  An exact ``width`` check with
-    ``"expect": "increasing"`` passes iff each instance's value exceeds
-    the previous instance's.
+    ``diameter`` checks take an integer ``expect`` or ``expect_at_most``.
+    ``free`` checks pass iff the pattern's subgraph freeness equals the
+    boolean ``expect`` (when given).  ``path`` checks pass iff the
+    vertices induce a path.  ``within`` (free and path checks) keeps only
+    the vertices whose label starts with one of its prefixes.  An exact
+    ``width`` check with ``"expect": "increasing"`` passes iff each
+    instance's value exceeds the previous instance's.
     """
 
     family_template: str
@@ -86,12 +86,18 @@ class ExperimentPlan:
                 or not all(isinstance(p, str) for p in chk["within"])
             ):
                 raise ValueError("within takes a list of label prefixes, on free and path checks")
+            if kind == "diameter":
+                for key in ("expect", "expect_at_most"):
+                    if type(chk.get(key, 0)) is not int:  # a bool is no integer here
+                        raise ValueError(f"diameter checks take an integer {key}")
             if kind == "free":
                 if not isinstance(chk.get("pattern"), str):
                     raise ValueError("free checks need a pattern")
                 parse_family_spec(chk["pattern"])
                 if chk.get("relation", "subgraph") != "subgraph":
                     raise ValueError("free checks support the subgraph relation only")
+                if not isinstance(chk.get("expect", True), bool):
+                    raise ValueError("free checks take a boolean expect")
             if kind == "width":
                 if chk.get("parameter", "td") != "td":
                     raise ValueError("width checks support td only")
@@ -117,7 +123,7 @@ def _check(g, chk: dict, budget, prev):
         if res is BUDGET:
             return "budget", False
         free = res is ABSENT
-        return ("free" if free else "contains"), free == bool(chk.get("expect", free))
+        return ("free" if free else "contains"), free == chk.get("expect", free)
     if kind == "path":
         return ("path", True) if is_path_graph(g) else ("not-path", False)
     if chk.get("mode", "bounds") == "bounds":

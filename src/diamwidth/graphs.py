@@ -361,3 +361,17 @@ def is_path_graph(g: Graph, within: int | None = None) -> bool:
     """True iff g (induced on ``within``) is a (possibly single-vertex)
     path: a connected, nonempty linear forest."""
     return len(component_masks(g, within)) == 1 and is_linear_forest(g, within)
+
+
+def cycle_order(g: Graph) -> list[int] | None:
+    """g's vertices in cyclic order if g is one cycle on >= 3 vertices,
+    else None."""
+    if g.n < 3 or any(d != 2 for d in g.degrees):
+        return None
+    walk, seen = [0], 1
+    while nxt := g.adj[walk[-1]] & ~seen:
+        low = nxt & -nxt
+        walk.append(low.bit_length() - 1)
+        seen |= low
+    # a 2-regular graph is one cycle iff the walk from 0 covers it
+    return walk if len(walk) == g.n else None

@@ -70,8 +70,8 @@ def _connector_shapes(i: int, j: int, d: int, L: int):
 
 class _Search:
     def __init__(self, r: int, d: int, L: int, budget: Budget, vocabulary: int):
-        if r < 2 or d not in (2, 3) or L < 2:
-            raise ValueError("need r >= 2, d in {2,3}, L >= 2")
+        if r < 2 or d not in (2, 3) or L < 2 or vocabulary < 0:
+            raise ValueError("need r >= 2, d in {2,3}, L >= 2, vocabulary >= 0")
         self.r = r
         self.d = d
         self.L = L

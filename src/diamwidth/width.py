@@ -364,14 +364,19 @@ def _is_tree(nodes: int, edges) -> bool:
     return True
 
 
+def _ids(values) -> bool:
+    """Whether ``values`` is a tuple of int ids (a bool or a float is none)."""
+    return isinstance(values, tuple) and all(type(v) is int for v in values)
+
+
 def verify_certificate(g: Graph, result: WidthResult) -> bool:
     if not result.exact or result.value is None:
         return False
     if result.parameter == "td":
         forest = result.certificate
-        if not isinstance(forest, EliminationForest) or len(forest.parents) != g.n:
+        if not isinstance(forest, EliminationForest) or not _ids(forest.parents):
             return False
-        if any(not -1 <= p < g.n for p in forest.parents):
+        if len(forest.parents) != g.n or any(not -1 <= p < g.n for p in forest.parents):
             return False
         # acyclic parent structure over exactly V(G)
         for v in range(g.n):
@@ -388,12 +393,18 @@ def verify_certificate(g: Graph, result: WidthResult) -> bool:
         return forest.height == result.value
     if result.parameter == "pw":
         order = result.certificate
-        if sorted(order) != list(range(g.n)):
+        if not _ids(order) or sorted(order) != list(range(g.n)):
             return False
         return pathwidth_of_order(g, tuple(order)) == result.value
     if result.parameter == "tw":
         dec = result.certificate
-        if not isinstance(dec, TreeDecomposition):
+        if not (
+            isinstance(dec, TreeDecomposition)
+            and isinstance(dec.bags, tuple)
+            and all(isinstance(b, frozenset) and _ids(tuple(b)) for b in dec.bags)
+            and isinstance(dec.tree_edges, tuple)
+            and all(_ids(e) and len(e) == 2 for e in dec.tree_edges)
+        ):
             return False
         covered = set()
         for b in dec.bags:

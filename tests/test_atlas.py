@@ -13,7 +13,6 @@ from diamwidth.atlas import (
     RegistryConsistencyError,
     classify,
     citation_statement,
-    hgraph2_level,
     in_script_s,
     is_apex_forest,
     is_apex_linear_forest,
@@ -37,7 +36,7 @@ from diamwidth.families import (
 )
 from diamwidth.canon import are_isomorphic, canonical_code
 from diamwidth.census import enumerate_connected_graphs
-from diamwidth.graphs import BudgetExhausted, disjoint_union, graph_from_edges
+from diamwidth.graphs import Budget, BudgetExhausted, disjoint_union, graph_from_edges
 from oracles import (
     atlas_graphs,
     reference_in_script_s,
@@ -63,7 +62,7 @@ def test_predicate_examples():
     claw = spider([2, 2, 2])
     assert holds("sstar_subgraph", claw) and holds("script_s", claw)
     assert not holds("sstar_subgraph", h_graph(2, 3))
-    assert hgraph2_level(h_graph(2, 3)) == 3
+    assert holds("hgraph2_subgraph", h_graph(2, 3))
     assert holds("clique", complete_graph(4))
     assert holds("in_p2", path_graph(2))
     lengths = (8, 10, 11, 24, 26)
@@ -132,11 +131,22 @@ def test_uniform_vtype_subgraph_recognizer():
 
 
 def test_hgraph2_level_none_cases():
-    assert hgraph2_level(cycle_graph(6)) is None
-    assert hgraph2_level(spider([1] * 4)) is None  # degree 4 center
-    assert hgraph2_level(h_graph(3, 1)) is None  # spine too long
-    assert hgraph2_level(h_graph(2, 1)) == 1
-    assert hgraph2_level(path_graph(5)) == 1
+    # graphs in no level of the spine-2 H-graphs, and two in the first
+    assert not holds("hgraph2_subgraph", cycle_graph(6))
+    assert not holds("hgraph2_subgraph", spider([1] * 4))  # degree 4 center
+    assert not holds("hgraph2_subgraph", h_graph(3, 1))  # spine too long
+    assert holds("hgraph2_subgraph", h_graph(2, 1))
+    assert holds("hgraph2_subgraph", path_graph(5))
+
+
+def test_hgraph2_predicate_matches_subgraph_search():
+    # F is a subgraph of some spine-2 H-graph iff of one of level <= |F|
+    for g in atlas_graphs():
+        in_some_level = any(
+            has_subgraph(h_graph(2, level), g, budget=None) is not ABSENT
+            for level in range(1, g.n + 1)
+        )
+        assert holds("hgraph2_subgraph", g) == in_some_level
 
 
 def test_script_s_and_sstar():
@@ -204,9 +214,12 @@ def test_classify_spec_examples():
     assert classify(cycle_graph(6), "subgraph", "td", 3).citation == "gq-polarity-c6-d3"
     assert classify(path_graph(4), "induced", "cw", 2).answer == "Bounded"
     assert classify(h_graph(2, 3), "subgraph", "td", 4).answer == "Bounded"
-    # a run-out hgraph2 search leaves the query open, never Unbounded
-    v = classify(h_graph(2, 3), "subgraph", "td", 4, budget=5)
-    assert v.answer == "Open" and "budget-limited checks left undecided" in v.note
+    # a run-out C6 search leaves the query open, never Unbounded
+    v = classify(cycle_graph(6), "subgraph", "td", 3, budget=1)
+    assert v.answer == "Open"
+    assert "budget-limited checks left undecided: sub-td-c6-supergraph" in v.note
+    assert classify(cycle_graph(6), "subgraph", "td", 3, budget=5).answer == "Unbounded"
+    assert classify(h_graph(2, 3), "subgraph", "td", 4, budget=5).answer == "Bounded"
     assert classify(h_graph(2, 3), "subgraph", "td", 5).answer == "Unbounded"
     v = classify([patterned_apex_path(3, "1")], "minor", "td", 2)
     assert v.answer == "Bounded" and v.citation == "minor-diam-td"
@@ -276,6 +289,20 @@ def test_misspelled_predicate_raises_on_load(tmp_path, monkeypatch):
     monkeypatch.setattr(atlas.resources, "files", lambda package: tmp_path)
     with pytest.raises(RegistryConsistencyError, match="planr"):
         load_registry()
+
+
+def test_bouquet_predicates_gate_before_searching():
+    # hosts below a bouquet's cyclomatic or size gate spend no node, though
+    # the spider's centre has room for two cycles and the edge between the
+    # tree's two hubs room for seven
+    spiders = disjoint_union(spider([2] * 7), spider([2] * 7))  # centres 0 and 15
+    for name, g in (
+        ("contains_samecyc_pair", disjoint_union(cycle_graph(8), spider([3] * 8))),
+        ("contains_ce_uniform", graph_from_edges(30, [*spiders.edges(), (0, 15)])),
+        ("contains_cv_12x6_12x8", cycle_bouquet([6] * 12 + [8] * 11, "vertex")),
+    ):
+        spent = Budget(None)
+        assert PREDICATES[name](g, spent) is False and spent.spent == 0, name
 
 
 def test_one_budget_bounds_a_whole_query():

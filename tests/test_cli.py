@@ -129,6 +129,10 @@ def test_refute_cli(capsys):
     )
     assert code == 0
     assert json.loads(out)["status"] == "Refuted"
+    argv = ["refute", "--r", "2", "--d", "2", "--length", "8", "--vocabulary", "-1"]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert "vocabulary >= 0" in err and "Traceback" not in err
 
 
 def test_convert_round_trip(tmp_path, capsys):
@@ -244,6 +248,16 @@ def test_experiment_rejects_malformed_plans(tmp_path, capsys):
         (
             {"family_template": "path:{}", "values": [3], "checks": [{"kind": "free"}]},
             "free checks need a pattern",
+        ),
+        (
+            {"family_template": "path:{}", "values": [3],
+             "checks": [{"kind": "diameter", "expect": "2"}]},
+            "diameter checks take an integer expect",
+        ),
+        (
+            {"family_template": "path:{}", "values": [3],
+             "checks": [{"kind": "free", "pattern": "cycle:3", "expect": "false"}]},
+            "free checks take a boolean expect",
         ),
     ):
         plan.write_text(json.dumps(raw))

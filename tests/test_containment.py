@@ -8,8 +8,6 @@ from diamwidth.containment import (
     ABSENT,
     BUDGET,
     Embedding,
-    find_biclique,
-    grs_witness,
     has_induced_subgraph,
     has_minor,
     has_subgraph,
@@ -26,8 +24,6 @@ from diamwidth.families import (
     wall,
 )
 from diamwidth.graphs import INFINITE, disjoint_union, graph_from_edges
-from diamwidth.paths import PathWitness, longest_induced_path
-from diamwidth.polarity import er_polarity_graph
 
 from oracles import (
     atlas_graphs,
@@ -223,22 +219,3 @@ def test_budget_is_three_valued():
     host = random_graph(12, 0.5, 1)
     res = has_subgraph(host, complete_graph(6), budget=1)
     assert res is BUDGET
-
-
-def test_grs_witness():
-    w = grs_witness(complete_bipartite(5, 5), 2, 2, 4)
-    assert isinstance(w, Embedding)
-    assert verify_embedding(complete_bipartite(5, 5), complete_bipartite(2, 2), w)
-    w = grs_witness(path_graph(20), 2, 2, 10)
-    assert isinstance(w, PathWitness) and w.num_vertices >= 10
-    w = grs_witness(er_polarity_graph(5), 2, 2, 6)
-    assert isinstance(w, PathWitness)
-    w = grs_witness(cycle_graph(5), 2, 2, 6)
-    assert w is ABSENT
-    # no K_{r,s}-free exhausted graph may still hold a long induced path
-    assert longest_induced_path(cycle_graph(5)).num_vertices < 6
-
-
-def test_find_biclique():
-    assert isinstance(find_biclique(complete_bipartite(3, 4), 3, 4), Embedding)
-    assert find_biclique(cycle_graph(9), 2, 2) is ABSENT

@@ -3,7 +3,7 @@ import random
 import pytest
 
 from diamwidth import cycles
-from diamwidth.atlas import DEFAULT_CLASSIFY_BUDGET, contains_cv_12x6_12x8
+from diamwidth.atlas import DEFAULT_CLASSIFY_BUDGET, PREDICATES
 from diamwidth.containment import ABSENT, has_subgraph
 from diamwidth.cycles import (
     CyclePacking,
@@ -115,7 +115,7 @@ def test_packing_examples():
     # set for both lengths leave room for 24 cycles
     near = cycle_bouquet([6] * 20 + [8] * 11, "vertex")
     assert cycle_packing(near, ("vertex", near.find_label("hub")), {6: 12, 8: 12}) is ABSENT
-    assert contains_cv_12x6_12x8(near, Budget(DEFAULT_CLASSIFY_BUDGET)) is False
+    assert PREDICATES["contains_cv_12x6_12x8"](near, Budget(DEFAULT_CLASSIFY_BUDGET)) is False
     assert vtype_or_etype_free(near, [6] * 12 + [8] * 12, "vertex").free
 
 

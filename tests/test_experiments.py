@@ -65,6 +65,21 @@ def test_plan_must_be_an_object_with_template_and_values():
             {"family_template": "path:{}", "values": [3], "checks": [{"kind": "free"}]},
             "free checks need a pattern",
         ),
+        (
+            {"family_template": "path:{}", "values": [3],
+             "checks": [{"kind": "diameter", "expect": "2"}]},
+            "diameter checks take an integer expect",
+        ),
+        (
+            {"family_template": "path:{}", "values": [3],
+             "checks": [{"kind": "diameter", "expect_at_most": True}]},
+            "diameter checks take an integer expect_at_most",
+        ),
+        (
+            {"family_template": "path:{}", "values": [3],
+             "checks": [{"kind": "free", "pattern": "cycle:3", "expect": "false"}]},
+            "free checks take a boolean expect",
+        ),
     ):
         with pytest.raises(ValueError, match=message):
             ExperimentPlan.from_json(json.dumps(raw))
@@ -122,6 +137,14 @@ def test_failed_expectation_reported():
     _, rows, ok = run_experiment(plan)
     assert not ok
     assert "!FAIL" in rows[0][4]
+
+
+def test_free_check_expect_false_is_read_as_false():
+    # path:3 is triangle-free, so expecting a triangle fails and freeness passes
+    for expect, ok in ((False, False), (True, True)):
+        check = {"kind": "free", "pattern": "cycle:3", "expect": expect}
+        _, rows, passed = run_experiment(ExperimentPlan("path:{}", (3,), (check,)))
+        assert passed == ok and rows[0][4] == ("free" if ok else "free!FAIL")
 
 
 def test_csv_shape():

@@ -14,6 +14,7 @@ from diamwidth.graphs import (
     Graph,
     bit_indices,
     component_masks,
+    cycle_order,
     cyclomatic_number,
     diameter,
     disjoint_union,
@@ -119,6 +120,19 @@ def test_induced_subgraph_and_delete():
     assert are_isomorphic(delete_vertex(g, 0), path_graph(5))
 
 
+def test_cycle_order_walks_the_cycle():
+    # C9 with its vertices shuffled: the walk still goes round the cycle
+    perm = [(5 * i) % 9 for i in range(9)]
+    shuffled = graph_from_edges(9, [(perm[i], perm[(i + 1) % 9]) for i in range(9)])
+    for g in (cycle_graph(3), cycle_graph(4), shuffled):
+        order = cycle_order(g)
+        assert sorted(order) == list(range(g.n))
+        assert all(g.has_edge(a, b) for a, b in zip(order, order[1:] + order[:1]))
+    two_triangles = disjoint_union(cycle_graph(3), cycle_graph(3))
+    for g in (two_triangles, path_graph(4), complete_graph(4), path_graph(2)):
+        assert cycle_order(g) is None
+
+
 def test_linear_forest_recognition():
     assert is_linear_forest(disjoint_union(path_graph(3), path_graph(2)))
     assert not is_linear_forest(spider([1, 1, 1]))
@@ -138,6 +152,9 @@ def test_forest_tests_over_masks_match_networkx():
             assert is_forest(g, mask) == reference_is_forest(h)
             assert is_linear_forest(g, mask) == reference_is_linear_forest(h)
             assert is_path_graph(g, mask) == reference_is_path(h)
+        h = to_networkx(g)
+        is_cycle = nx.is_connected(h) and all(d == 2 for _, d in h.degree())
+        assert (cycle_order(g) is not None) == is_cycle
 
 
 def test_labels_round_trip_through_operations():

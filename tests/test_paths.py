@@ -25,6 +25,7 @@ def random_graph(n: int, p: float, seed: int):
 def test_longest_induced_path_examples():
     assert longest_induced_path(cycle_graph(6)).num_vertices == 5
     assert longest_induced_path(complete_graph(5)).num_vertices == 2
+    assert longest_induced_path(cycle_graph(5)).num_vertices == 4
     w = longest_induced_path(er_polarity_graph(3))
     assert w.exact and w.num_vertices == 8  # pinned by the subset oracle below
     assert verify_path_witness(er_polarity_graph(3), w)

@@ -1,5 +1,7 @@
 import os
 
+import pytest
+
 from diamwidth.formats import to_graph6
 from diamwidth.graphs import graph_from_edges
 from diamwidth.refuter import _Search, refute_path, verify_model
@@ -26,6 +28,14 @@ def test_diameter3_consistency():
     ok, reason = verify_model(out.model, 2, 3, 10)
     assert ok, reason
     assert out.witnesses_used <= (3 * 10) // 3
+
+
+def test_vocabulary_must_not_be_negative():
+    for w in (-1, -5):
+        with pytest.raises(ValueError, match="vocabulary >= 0"):
+            refute_path(2, 2, 8, vocabulary=w)
+    out = refute_path(2, 2, 8, vocabulary=0)  # no witnesses, a valid search
+    assert out.vocabulary == 0 and out.witnesses_used == 0
 
 
 def test_budget_exhaustion_is_reported():

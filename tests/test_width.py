@@ -83,6 +83,16 @@ def test_certificates_verify_and_fakes_fail():
     assert not verify_certificate(p3, cyclic)
     out_of_range = WidthResult("td", 2, EliminationForest((1, -1, 3)), True)
     assert not verify_certificate(p3, out_of_range)
+    # forged ids and containers are rejected, not raised on
+    bags = (frozenset((0, 1)), frozenset((1, 2)))
+    for forged in (
+        WidthResult("pw", 1, None, True),
+        WidthResult("pw", 1, (0.0, 1.0, 2.0), True),
+        WidthResult("td", 2, EliminationForest((1.0, -1, 1)), True),
+        WidthResult("tw", 1, TreeDecomposition(bags, ((0.0, 1),)), True),
+    ):
+        assert not verify_certificate(p3, forged)
+    assert verify_certificate(p3, WidthResult("tw", 1, TreeDecomposition(bags, ((0, 1),)), True))
 
 
 def test_tree_decomposition_must_be_a_tree():
