@@ -7,8 +7,11 @@ width parameter p bounded on the class of F-excluded graphs of diameter at
 most d?" by evaluating a versioned rule registry
 (data/classification_rules.json), returning Bounded, Unbounded or Open
 with a machine-readable citation key and the fired-rule trace.  Every
-applicable rule is evaluated, so a registry inconsistency (a query firing
-both answers) raises instead of being masked by first-match ordering.
+rule whose diameter range covers d is evaluated, so a registry
+inconsistency (a query firing both answers) raises instead of being masked
+by first-match ordering.  An Open note names the nearest diameters at which
+a rule that holds decides, as read from the rule ranges; those rules are
+evaluated only after the query's own.
 
 Supergraph conditions that need containment search share one node budget
 per query; exhaustion downgrades the answer to Open with a note, never to
@@ -18,8 +21,8 @@ a wrong verdict.
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass
+from functools import cache
 from importlib import resources
 from typing import Callable
 
@@ -29,6 +32,7 @@ from .cycles import cycle_packing  # unused here: perfbench/layers.py patches th
 from .cycles import find_cycle_subgraph, vtype_or_etype_free
 from .families import h_graph, path_graph
 from .graphs import (
+    INFINITE,
     Budget,
     BudgetExhausted,
     Graph,
@@ -46,7 +50,6 @@ from .graphs import (
 from .planarity import is_apex_planar, is_planar
 from .polarity import max_common_neighbors
 
-INF_DIAMETER = math.inf
 RELATIONS = ("minor", "induced", "subgraph")
 PARAMETERS = ("td", "pw", "tw", "cw")
 DEFAULT_CLASSIFY_BUDGET = 400_000
@@ -322,14 +325,7 @@ def load_registry() -> dict:
     return registry
 
 
-_REGISTRY_CACHE: dict | None = None
-
-
-def _registry() -> dict:
-    global _REGISTRY_CACHE
-    if _REGISTRY_CACHE is None:
-        _REGISTRY_CACHE = load_registry()
-    return _REGISTRY_CACHE
+_registry = cache(load_registry)
 
 
 class _PredicateContext:
@@ -363,35 +359,14 @@ class _PredicateContext:
         return (not val) if negate else val
 
 
-def _rule_applies(rule: dict, relation: str, parameter: str, d) -> bool:
-    if relation not in rule["relations"] or parameter not in rule["parameters"]:
-        return False
-    d_min = rule["d_min"]
-    d_max = rule["d_max"]
-    lo = INF_DIAMETER if d_min == "inf" else d_min
-    if d_max == "inf":
-        hi = INF_DIAMETER
-    elif d_max == "finite":
-        if d == INF_DIAMETER:
-            return False
-        hi = INF_DIAMETER
-    else:
-        hi = d_max
-    return lo <= d <= hi
-
-
-def _evaluate_rules(ctx: _PredicateContext, relation: str, parameter: str, d):
-    fired, unknown = [], []
-    registry = _registry()
-    for rule in registry["rules"]:
-        if not _rule_applies(rule, relation, parameter, d):
-            continue
-        vals = [ctx.eval(req) for req in rule["requires"]]
-        if all(v is True for v in vals):
-            fired.append(rule)
-        elif any(v is None for v in vals) and all(v is not False for v in vals):
-            unknown.append(rule)
-    return fired, unknown
+def _covers(rule: dict, d) -> bool:
+    """Whether d lies in the rule's diameter range.  ``d_min`` is an
+    integer or "inf"; ``d_max`` an integer, "finite" (every integer from
+    d_min on) or "inf" (those and no diameter bound too)."""
+    if d == INFINITE:
+        return rule["d_max"] == "inf"
+    lo, hi = rule["d_min"], rule["d_max"]
+    return lo != "inf" and lo <= d and (hi in ("finite", "inf") or d <= hi)
 
 
 def classify(
@@ -404,14 +379,15 @@ def classify(
     """Boundedness verdict for the (forbidden, relation, parameter, d) query.
 
     ``forbidden`` is a Graph, or a list of Graphs for the minor relation.
-    ``d`` is an integer >= 1 or math.inf for no diameter bound.  ``budget``
-    bounds the search nodes of all the query's predicates together.
+    ``d`` is an integer >= 1 or math.inf (``graphs.INFINITE``) for no
+    diameter bound.  ``budget`` bounds the search nodes of all the query's
+    predicates together.
     """
     if relation not in RELATIONS:
         raise ValueError(f"unknown relation {relation!r}")
     if parameter not in PARAMETERS:
         raise ValueError(f"unknown parameter {parameter!r}")
-    if not (d == INF_DIAMETER or (isinstance(d, int) and d >= 1)):
+    if not (d == INFINITE or (isinstance(d, int) and d >= 1)):
         raise ValueError("d must be an integer >= 1 or infinity")
     if isinstance(forbidden, Graph):
         graphs = [forbidden]
@@ -433,42 +409,46 @@ def classify(
             graphs = [reduced]
 
     ctx = _PredicateContext(graphs, Budget(budget))
-    fired, unknown = _evaluate_rules(ctx, relation, parameter, d)
-    answers = {r["answer"] for r in fired}
-    if "Bounded" in answers and "Unbounded" in answers:
+    rules = [r for r in _registry()["rules"]
+             if relation in r["relations"] and parameter in r["parameters"]]
+    fired, unknown = [], []
+    for rule in (r for r in rules if _covers(r, d)):
+        vals = [ctx.eval(req) for req in rule["requires"]]
+        if all(v is True for v in vals):
+            fired.append(rule)
+        elif None in vals and False not in vals:
+            unknown.append(rule)
+    if len({r["answer"] for r in fired}) > 1:
         raise RegistryConsistencyError(
             f"contradictory rules fired: {[r['id'] for r in fired]}"
         )
     if fired:
-        lead = fired[0]
         note = "; ".join(sorted({r["note"] for r in fired if r.get("note")}))
-        return Verdict(
-            answer=lead["answer"],
-            citation=lead["citation"],
-            note=note,
-            fired=tuple(r["id"] for r in fired),
-            trace=tuple(trace),
-        )
+        return Verdict(fired[0]["answer"], fired[0]["citation"], note,
+                       tuple(r["id"] for r in fired), tuple(trace))
 
     notes = []
     if unknown:
-        notes.append(
-            "budget-limited checks left undecided: "
-            + ",".join(r["id"] for r in unknown)
-        )
-    # nearest known facts at other diameters
-    if d != INF_DIAMETER:
-        for d2 in range(min(d - 1, 6), 0, -1):
-            f2, _ = _evaluate_rules(ctx, relation, parameter, d2)
-            if f2 and f2[0]["answer"] == "Bounded":
-                notes.append(f"bounded holds for d <= {d2}")
-                break
-        for d2 in (d + 1, d + 2, INF_DIAMETER):
-            f2, _ = _evaluate_rules(ctx, relation, parameter, d2)
-            if f2 and f2[0]["answer"] == "Unbounded":
-                label = "unbounded diameter" if d2 == INF_DIAMETER else f"d >= {d2}"
-                notes.append(f"unbounded holds for {label}")
-                break
+        notes.append("budget-limited checks left undecided: "
+                     + ",".join(r["id"] for r in unknown))
+    # the nearest diameters at which a rule that holds decides, read from
+    # the ranges: a Bounded rule below d up to its d_max, an Unbounded one
+    # above d from its d_min (or d + 1) on
+    def holds(rule: dict) -> bool:
+        return all(ctx.eval(req) is True for req in rule["requires"])
+
+    below = [r["d_max"] for r in rules if r["answer"] == "Bounded"
+             and isinstance(r["d_max"], int) and r["d_max"] < d and holds(r)]
+    above = []
+    for r in rules:
+        up = INFINITE if r["d_min"] == "inf" else max(r["d_min"], d + 1)
+        if r["answer"] == "Unbounded" and d < up and _covers(r, up) and holds(r):
+            above.append(up)
+    if below:
+        notes.append(f"bounded holds for d <= {max(below)}")
+    if above:
+        label = "unbounded diameter" if min(above) == INFINITE else f"d >= {min(above)}"
+        notes.append(f"unbounded holds for {label}")
     if relation == "subgraph" and parameter == "td" and d == 3:
         f = graphs[0]
         if f.n % 2 == 0 and f.n >= 8 and cycle_order(f) is not None:

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from collections import Counter
 
@@ -346,6 +347,11 @@ def main(argv: list[str] | None = None) -> int:
     sys.setrecursionlimit(1_000_000)
     try:
         return args.fn(args)
+    except BrokenPipeError:
+        # the reader closed stdout: point it at devnull so the flush at exit
+        # cannot fail again, and exit 1 as Python does on a broken pipe
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_CHECK_FAILED
     except FormatError as exc:
         sys.stderr.write(f"format error: {exc}\n")
         return EXIT_USAGE

@@ -26,6 +26,7 @@ from .graphs import (
     DEFAULT_BUDGET,
     Budget,
     Graph,
+    are_vertex_ids,
     bit_indices,
     budgeted,
     component_masks,
@@ -53,9 +54,7 @@ class Embedding:
 def verify_embedding(host: Graph, pattern: Graph, emb: Embedding) -> bool:
     if emb.mode in ("subgraph", "induced"):
         vm = emb.vertex_map
-        if len(vm) != pattern.n or len(set(vm)) != pattern.n:
-            return False
-        if any(not 0 <= x < host.n for x in vm):
+        if not are_vertex_ids(host, vm) or len(vm) != pattern.n or len(set(vm)) != pattern.n:
             return False
         for u, v in pattern.edges():
             if not host.has_edge(vm[u], vm[v]):
@@ -68,11 +67,11 @@ def verify_embedding(host: Graph, pattern: Graph, emb: Embedding) -> bool:
         return True
     if emb.mode == "minor":
         sets = emb.branch_sets
-        if len(sets) != pattern.n:
+        if not isinstance(sets, tuple) or len(sets) != pattern.n:
             return False
         seen: set[int] = set()
         for bs in sets:
-            if not bs or seen & bs or any(not 0 <= v < host.n for v in bs):
+            if not (isinstance(bs, frozenset) and bs and are_vertex_ids(host, tuple(bs))) or seen & bs:
                 return False
             seen |= bs
             mask = 0

@@ -43,6 +43,7 @@ from .graphs import (
     Budget,
     BudgetExhausted,
     Graph,
+    are_vertex_ids,
     bipartition,
     bit_indices,
     budgeted,
@@ -321,27 +322,32 @@ def _pack(g, anchor, quotas, total, budget):
 
 
 def verify_packing(g: Graph, packing: CyclePacking, quotas: dict[int, int]) -> bool:
-    core = _core_mask(packing.anchor)
+    anchor, cycles = packing.anchor, packing.cycles
+    if not (
+        isinstance(anchor, tuple)
+        and anchor[:1] in (("vertex",), ("edge",))
+        and len(anchor) == (2 if anchor[0] == "vertex" else 3)
+        and are_vertex_ids(g, anchor[1:])
+        and isinstance(cycles, tuple)
+        and all(are_vertex_ids(g, c) and len(set(c)) == len(c) >= 3 for c in cycles)
+    ):
+        return False
+    core = _core_mask(anchor)
     seen: dict[int, int] = {}
     masks = []
-    for c in packing.cycles:
+    for c in cycles:
         for a, b in zip(c, c[1:] + c[:1]):
             if not g.has_edge(a, b):
                 return False
-        if len(set(c)) != len(c):
-            return False
-        if packing.anchor[0] == "vertex":
-            if packing.anchor[1] not in c:
+        if anchor[0] == "vertex":
+            if anchor[1] not in c:
                 return False
         else:
-            u, v = packing.anchor[1], packing.anchor[2]
+            u, v = anchor[1], anchor[2]
             pairs = set(zip(c, c[1:] + c[:1]))
             if (u, v) not in pairs and (v, u) not in pairs:
                 return False
-        m = 0
-        for w in c:
-            m |= 1 << w
-        masks.append(m & ~core)
+        masks.append(sum(1 << w for w in c) & ~core)
         seen[len(c)] = seen.get(len(c), 0) + 1
     for m1, m2 in combinations(masks, 2):
         if m1 & m2:

@@ -298,6 +298,12 @@ def delete_vertex(g: Graph, v: int) -> Graph:
     return induced_subgraph(g, [u for u in range(g.n) if u != v])[0]
 
 
+def are_vertex_ids(g: Graph, values) -> bool:
+    """Whether ``values`` is a tuple of ints in 0..n-1: vertex ids of g, not
+    a bool, a float or a negative index from the end."""
+    return isinstance(values, tuple) and all(type(v) is int and 0 <= v < g.n for v in values)
+
+
 # -- structural predicates -----------------------------------------------
 
 

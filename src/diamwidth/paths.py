@@ -13,7 +13,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .graphs import ABSENT, DEFAULT_BUDGET, Budget, Graph, bit_indices, budgeted, component_masks
+from .graphs import (
+    ABSENT, DEFAULT_BUDGET, Budget, Graph, are_vertex_ids, bit_indices, budgeted, component_masks,
+)
 
 PLAIN_EXACT_LIMIT = 18
 INDUCED_EXACT_LIMIT = 20
@@ -38,7 +40,7 @@ class PathWitness:
 
 def verify_path_witness(g: Graph, w: PathWitness) -> bool:
     vs = w.vertices
-    if len(set(vs)) != len(vs) or not vs:
+    if not are_vertex_ids(g, vs) or len(set(vs)) != len(vs) or not vs:
         return False
     for a, b in zip(vs, vs[1:]):
         if not g.has_edge(a, b):

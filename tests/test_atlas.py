@@ -1,7 +1,7 @@
 import hashlib
 import json
 import math
-from itertools import combinations_with_replacement
+from itertools import combinations, combinations_with_replacement, product
 
 import pytest
 
@@ -36,7 +36,13 @@ from diamwidth.families import (
 )
 from diamwidth.canon import are_isomorphic, canonical_code
 from diamwidth.census import enumerate_connected_graphs
-from diamwidth.graphs import Budget, BudgetExhausted, disjoint_union, graph_from_edges
+from diamwidth.graphs import (
+    Budget,
+    BudgetExhausted,
+    delete_vertex,
+    disjoint_union,
+    graph_from_edges,
+)
 from oracles import (
     atlas_graphs,
     reference_in_script_s,
@@ -259,21 +265,95 @@ def test_open_verdict_carries_nearest_facts():
     assert "unbounded holds for d >= 3" in v.note
 
 
-def test_classify_digest_over_small_graphs():
-    # every graph on 1-6 vertices x relation x parameter x d: a change to a
-    # predicate or to rule evaluation that alters any verdict shows here
-    digest = hashlib.sha256()
-    small = [g for g in atlas_graphs() if g.n <= 6]
-    for g in sorted(small, key=lambda g: (g.n, canonical_code(g))):
+def test_open_notes_read_the_rule_ranges(monkeypatch):
+    # a Bounded range ending above 6 and an Unbounded one starting beyond
+    # d + 2: the notes name the nearest decided diameters on either side
+    common = {"relations": ["subgraph"], "parameters": ["cw"], "requires": [],
+              "citation": "d1-finiteness"}
+    registry = {"citations": {}, "rules": [
+        {**common, "id": "b", "answer": "Bounded", "d_min": 2, "d_max": 8},
+        {**common, "id": "u", "answer": "Unbounded", "d_min": 12, "d_max": "finite"},
+        {**common, "id": "u-inf", "answer": "Unbounded", "d_min": 30, "d_max": "inf"},
+    ]}
+    monkeypatch.setattr(atlas, "_registry", lambda: registry)
+    for d in (9, 10):
+        v = classify(cycle_graph(5), "subgraph", "cw", d)
+        assert v.answer == "Open"
+        assert v.note == "bounded holds for d <= 8; unbounded holds for d >= 12"
+    assert classify(cycle_graph(5), "subgraph", "cw", 8).fired == ("b",)
+    assert classify(cycle_graph(5), "subgraph", "cw", 12).fired == ("u",)
+    assert classify(cycle_graph(5), "subgraph", "cw", INF).fired == ("u-inf",)
+
+
+DIAMETERS = (1, 2, 3, 4, 5, 6, INF)
+
+
+def _small_graphs():
+    """Every graph on 1-6 vertices, keyed by (n, canonical code), in key
+    order."""
+    small = {(g.n, canonical_code(g)): g for g in atlas_graphs() if g.n <= 6}
+    return dict(sorted(small.items()))
+
+
+@pytest.fixture(scope="module")
+def small_verdicts():
+    """classify over every graph on 1-6 vertices x relation x parameter x
+    d, keyed by (n, canonical code, relation, parameter, d)."""
+    table = {}
+    for key, g in _small_graphs().items():
         for relation in RELATIONS:
             forbidden = [g] if relation == "minor" else g
             for parameter in PARAMETERS:
-                for d in (1, 2, 3, 4, 5, 6, INF):
-                    verdict = classify(forbidden, relation, parameter, d)
-                    digest.update(repr(verdict).encode() + b"\n")
+                for d in DIAMETERS:
+                    table[key + (relation, parameter, d)] = classify(
+                        forbidden, relation, parameter, d
+                    )
+    return table
+
+
+def test_classify_digest_over_small_graphs(small_verdicts):
+    # every graph on 1-6 vertices x relation x parameter x d: a change to a
+    # predicate or to rule evaluation that alters any verdict shows here
+    digest = hashlib.sha256()
+    for verdict in small_verdicts.values():
+        digest.update(repr(verdict).encode() + b"\n")
     assert digest.hexdigest() == (
         "268bdf953d899deb81e1bc82ff0de8d6b1f58da0e41e1af6e82eab3fbf33f47d"
     )
+
+
+def test_small_verdicts_respect_the_class_orders(small_verdicts):
+    # each pair (a, b) below has a's graph class inside b's, so a may not
+    # be Unbounded where b is Bounded.  The orders: a larger d; a weaker
+    # parameter (td >= pw + 1 >= tw + 1, and cw bounded in tw); a larger
+    # relation class (minor-free within subgraph-free within induced-free);
+    # a larger forbidden graph (F - e lies in F as a subgraph and a minor,
+    # F - v also as an induced subgraph)
+    graphs = _small_graphs()
+    pairs = []
+    for f in graphs:
+        for r, p in product(RELATIONS, PARAMETERS):
+            pairs += [(f + (r, p, d), f + (r, p, d2)) for d, d2 in combinations(DIAMETERS, 2)]
+        for r, d in product(RELATIONS, DIAMETERS):
+            pairs += [(f + (r, weak, d), f + (r, p, d)) for p, weak in combinations(PARAMETERS, 2)]
+        for p, d in product(PARAMETERS, DIAMETERS):
+            pairs += [
+                (f + (r, p, d), f + (r2, p, d))
+                for r, r2 in combinations(("minor", "subgraph", "induced"), 2)
+            ]
+    for f, g in graphs.items():
+        smaller = [(delete_vertex(g, v), RELATIONS) for v in range(g.n) if g.n > 1]
+        smaller += [
+            (graph_from_edges(g.n, [x for x in g.edges() if x != e]), ("minor", "subgraph"))
+            for e in g.edges()
+        ]
+        for h, relations in smaller:
+            hkey = (h.n, canonical_code(h))
+            for r, p, d in product(relations, PARAMETERS, DIAMETERS):
+                pairs.append((hkey + (r, p, d), f + (r, p, d)))
+    answer = {key: v.answer for key, v in small_verdicts.items()}
+    bad = [(a, b) for a, b in pairs if answer[a] == "Unbounded" and answer[b] == "Bounded"]
+    assert not bad, bad[:5]
 
 
 def test_registry_predicates_resolve():

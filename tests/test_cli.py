@@ -1,4 +1,5 @@
 import json
+import sys
 
 import pytest
 
@@ -133,6 +134,33 @@ def test_refute_cli(capsys):
     assert main(argv) == 2
     err = capsys.readouterr().err
     assert "vocabulary >= 0" in err and "Traceback" not in err
+
+
+def test_closed_stdout_is_not_a_usage_error(tmp_path, capsys, monkeypatch):
+    # a reader that closes the pipe early: no error line and exit 1, the
+    # status Python gives a broken pipe; the rest of stdout goes to devnull
+    sink = open(tmp_path / "sink", "w")
+
+    class ClosedPipe:
+        def write(self, text):
+            raise BrokenPipeError(32, "Broken pipe")
+
+        def flush(self):
+            pass
+
+        def fileno(self):
+            return sink.fileno()
+
+    argv = ["refute", "--r", "2", "--d", "2", "--length", "8", "--vocabulary", "0"]
+    with monkeypatch.context() as patch:
+        patch.setattr(sys, "stdout", ClosedPipe())
+        assert main(argv) == 1
+    sink.close()
+    assert capsys.readouterr().err == ""
+    # an input file that cannot be read is still a usage error
+    missing = str(tmp_path / "missing.g6")
+    assert main(["width", "td", "--in", missing]) == 2
+    assert "error:" in capsys.readouterr().err
 
 
 def test_convert_round_trip(tmp_path, capsys):

@@ -77,6 +77,17 @@ def test_verify_embedding_rejects_out_of_range_ids():
     assert not verify_embedding(c4, p3, Embedding("induced", (-1, 0, 1)))
     sets = (frozenset({0}), frozenset({1}), frozenset({2, 7}))
     assert not verify_embedding(c4, p3, Embedding("minor", branch_sets=sets))
+    # ids of the wrong type and malformed containers
+    for vm in ((0, 1.0, 2), (0, "1", 2), None, [0, 1, 2]):
+        for mode in ("subgraph", "induced"):
+            assert not verify_embedding(c4, p3, Embedding(mode, vm))
+    for sets in (
+        ([0], [1], [2]),
+        (frozenset({0}), frozenset({1.0}), frozenset({2})),
+        (frozenset({0}), frozenset({"1"}), frozenset({2})),
+        None,
+    ):
+        assert not verify_embedding(c4, p3, Embedding("minor", branch_sets=sets))
 
 
 def PETERSEN():

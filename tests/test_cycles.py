@@ -119,6 +119,33 @@ def test_packing_examples():
     assert vtype_or_etype_free(near, [6] * 12 + [8] * 12, "vertex").free
 
 
+def test_verify_packing_rejects_forgeries():
+    c5 = cycle_graph(5)
+    whole = (0, 1, 2, 3, 4)
+    assert verify_packing(c5, CyclePacking(("vertex", 0), (whole,)), {5: 1})
+    assert verify_packing(c5, CyclePacking(("edge", 0, 1), (whole,)), {5: 1})
+    for anchor, cycles, quotas in (
+        # an edge walked there and back is no cycle
+        (("vertex", 0), ((0, 1),), {2: 1}),
+        (("edge", 0, 1), ((0, 1),), {2: 1}),
+        # the cycle misses the anchor, or repeats a vertex
+        (("vertex", 0), ((1, 2, 3),), {3: 1}),
+        (("vertex", 0), ((0, 1, 0, 4),), {4: 1}),
+        # anchors and cycle vertices that are not vertex ids
+        (("vertex", -1), ((4, 0, 1, 2, 3),), {5: 1}),
+        (("vertex", 0.0), (whole,), {5: 1}),
+        (("vertex", 0), ((0.0, 1, 2, 3, 4),), {5: 1}),
+        (("vertex", 0), ((-5, 1, 2, 3, 4),), {5: 1}),
+        (("edge", 0), (whole,), {5: 1}),
+        (("edge", 0, 1, 2), (whole,), {5: 1}),
+        (("face", 0), (whole,), {5: 1}),
+        ((), (whole,), {5: 1}),
+        (("vertex", 0), [whole], {5: 1}),
+        (("vertex", 0), ([0, 1, 2, 3, 4],), {5: 1}),
+    ):
+        assert not verify_packing(c5, CyclePacking(anchor, cycles), quotas), (anchor, cycles)
+
+
 def test_a_packing_needs_the_vertices_of_its_cycles():
     # two 8-cycles sharing only the hub need 15 vertices: K14 has too few,
     # though it has millions of anchored 8-cycles and room at every vertex

@@ -99,6 +99,11 @@ def test_witness_verifier_rejects_bad_paths():
     g = cycle_graph(5)
     assert not verify_path_witness(g, PathWitness((0, 2), "plain", True))
     assert not verify_path_witness(g, PathWitness((0, 1, 2, 3, 4), "induced", True))
+    # ids that are not vertices: -1 must not index vertex 3 from the end
+    p4 = path_graph(4)
+    for vertices in ((-1, 2), (0.0, 1), (0, True), None, [0, 1]):
+        for kind in ("plain", "induced"):
+            assert not verify_path_witness(p4, PathWitness(vertices, kind, True))
 
 
 def test_heuristic_induced_path_on_er7_is_pinned():
