@@ -5,7 +5,9 @@ isomorphic.  The form is the lexicographically smallest upper-triangle
 adjacency encoding over the orderings produced by iterated degree
 refinement with individualization, prefixed by (n, m, degree histogram) so
 that inequivalent graphs usually differ in the first bytes.  Deterministic
-across runs and platforms.
+across runs and platforms.  ``census`` relies on that fixed-length
+(n, m, sorted degrees) prefix: it predicts the order of two codes from
+it without computing them.
 
 The search prunes by automorphisms found on the way (McKay & Piperno,
 *Practical graph isomorphism II*, JSC 2014).  A leaf whose code equals

@@ -13,6 +13,24 @@ seen in each class is always built from such a least mask, so the levels
 and their representatives are those of the unpruned enumeration.  The
 unfiltered counts 1, 1, 2, 6, 21, 112 for n = 1..6 anchor correctness.
 
+Most children are duplicates, and a cheap test rejects many of them
+before they get a ``Graph`` or a canonical form (McKay's canonical
+deletion, in a form that keeps these representatives).  The first child
+seen in a class X comes from the earliest parent in level order, and
+level order is canonical-code order, whose codes begin with the
+fixed-length prefix (n, m, sorted degrees).  So that parent has the
+least prefix among the graphs X - v over the non-cut vertices v of X.
+In a child C with new vertex w, key(v) = (-deg v, sorted degrees of
+C - v) orders the prefixes of the C - v; if some non-cut vertex v has
+key(v) < key(w), an earlier parent ≅ C - v also yields X, so C is not
+the first child seen in X and is dropped.  Degrees are compared first,
+and connectivity is checked only for vertices that beat w.  Every child
+that passes is deduplicated by canonical code as before, so the levels,
+their order and their representatives are unchanged.  With a hereditary
+``keep``, a kept X has every connected X - v kept, so the earlier parent
+is on the pruned level too; a class that is not kept may now be dropped
+before ``keep`` sees it.
+
 A census grows only F-free graphs.  Freeness under subgraph, induced
 subgraph or minor is hereditary, so every parent G - v of an F-free
 child is F-free: enumerating with freeness as the ``keep`` predicate
@@ -26,7 +44,7 @@ strictly larger width, so skipping the others changes no row.
 
 from __future__ import annotations
 
-from collections.abc import Callable
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass
 
 from .canon import canonical_code
@@ -68,6 +86,52 @@ def _orbit_minimal_masks(k: int, generators: list[tuple[int, ...]]) -> list[int]
     return minimal
 
 
+def _deletion_key(adj: Sequence[int], degrees: Sequence[int], v: int) -> tuple[int, list[int]]:
+    """(-deg v, sorted degrees of G - v) for the graph with these
+    neighbourhood masks and degrees.  Its order on the vertices of G is
+    the order of the (n, m, sorted degrees) prefixes of canonical_code(G - v)."""
+    rest = list(degrees)
+    nbrs = adj[v]
+    while nbrs:
+        low = nbrs & -nbrs
+        rest[low.bit_length() - 1] -= 1
+        nbrs ^= low
+    del rest[v]
+    rest.sort()
+    return -degrees[v], rest
+
+
+def _last_may_be_first(adj: Sequence[int]) -> bool:
+    """False if some non-cut vertex v has a smaller deletion key than the
+    last vertex w: then the graph, built from G - w, is not the first
+    child seen in its class (module docstring)."""
+    degrees = [a.bit_count() for a in adj]
+    w = len(adj) - 1
+    key_w = None
+    for v in range(w):
+        if degrees[v] < degrees[w]:
+            continue
+        if degrees[v] == degrees[w]:
+            if key_w is None:
+                key_w = _deletion_key(adj, degrees, w)
+            if _deletion_key(adj, degrees, v) >= key_w:
+                continue
+        # v beats w: is G - v connected?
+        todo = ((1 << len(adj)) - 1) ^ (1 << v)
+        comp = frontier = 1 << w
+        while frontier:
+            grow = 0
+            while frontier:
+                low = frontier & -frontier
+                grow |= adj[low.bit_length() - 1]
+                frontier ^= low
+            frontier = grow & todo & ~comp
+            comp |= frontier
+        if comp == todo:
+            return False
+    return True
+
+
 def enumerate_connected_graphs(
     n_max: int, keep: Callable[[Graph], bool] | None = None
 ) -> list[list[Graph]]:
@@ -87,7 +151,10 @@ def enumerate_connected_graphs(
         for base, gens in zip(levels[n - 1], generators):
             for nbhd in _orbit_minimal_masks(n - 1, gens):
                 adj = [a | ((nbhd >> v) & 1) << (n - 1) for v, a in enumerate(base.adj)]
-                g = Graph(n, (*adj, nbhd))
+                adj.append(nbhd)
+                if not _last_may_be_first(adj):
+                    continue
+                g = Graph(n, tuple(adj))
                 auts: list[tuple[int, ...]] = []
                 code = canonical_code(g, automorphisms=auts)
                 if code not in seen:
@@ -152,7 +219,7 @@ def census(
         best: int | None = None
         witness: Graph | None = None
         for g in levels[n]:
-            if diameter(g) > d:
+            if d != INFINITE and diameter(g) > d:  # level graphs are connected
                 continue
             count += 1
             if best is not None and _width_upper_bound(g, parameter) <= best:

@@ -2,9 +2,12 @@ import hashlib
 
 import pytest
 
+from diamwidth import census as census_module
 from diamwidth.canon import canonical_code
 from diamwidth.census import (
     _SOLVERS,
+    _deletion_key,
+    _last_may_be_first,
     _orbit_minimal_masks,
     CensusRow,
     census,
@@ -14,7 +17,7 @@ from diamwidth.census import (
 )
 from diamwidth.families import build_family, complete_graph, path_graph
 from diamwidth.formats import from_graph6, to_graph6
-from diamwidth.graphs import INFINITE, component_masks, diameter
+from diamwidth.graphs import INFINITE, component_masks, delete_vertex, diameter
 from diamwidth.width import _width_upper_bound, treedepth_exact
 from oracles import atlas_graphs
 
@@ -46,6 +49,46 @@ def test_levels_and_representatives_are_pinned():
     assert _digest(enumerate_connected_graphs(7)) == (
         "3f3641b686044abe59d61f4a948f702d527e5332a02f902ca0094f0b9b2ad4ce"
     )
+
+
+def test_level_eight_is_pinned():
+    # 11,117 connected graphs on 8 vertices (OEIS A001349); the digest is
+    # that of the enumeration without the canonical-deletion test
+    levels = enumerate_connected_graphs(8)
+    assert len(levels[8]) == 11117
+    assert _digest(levels) == (
+        "7a550a0a4f230e0be41d47674bb669c8811e1c5e6aa2b8939fa1cb5450d14d8f"
+    )
+
+
+def test_deletion_key_orders_the_canonical_prefix():
+    pytest.importorskip("networkx")
+    for g in atlas_graphs():
+        if g.n > 6:
+            continue
+        keys = [_deletion_key(g.adj, g.degrees, v) for v in range(g.n)]
+        # (n, m, sorted degrees) of G - v: 1 + 2 + (n - 1) bytes
+        prefixes = [canonical_code(delete_vertex(g, v))[: g.n + 2] for v in range(g.n)]
+        for u in range(g.n):
+            for v in range(g.n):
+                assert (keys[u] < keys[v]) == (prefixes[u] < prefixes[v])
+                assert (keys[u] == keys[v]) == (prefixes[u] == prefixes[v])
+
+
+def test_representatives_pass_the_deletion_test(unpruned):
+    # each representative was built from G - w with w its last vertex
+    for level in unpruned:
+        for g in level:
+            assert _last_may_be_first(g.adj)
+
+
+def test_canonical_code_calls_are_pinned(monkeypatch):
+    calls = []
+    monkeypatch.setattr(
+        census_module, "canonical_code", lambda g, **kw: calls.append(g) or canonical_code(g, **kw)
+    )
+    enumerate_connected_graphs(7)
+    assert len(calls) == 1033  # 4,159 without the canonical-deletion test
 
 
 def test_orbit_minimal_masks():
@@ -156,6 +199,15 @@ def test_census_solves_only_where_the_maximum_can_rise(monkeypatch, parameter):
     assert [r.count for r in rows] == [1, 1, 2, 6, 21, 112]
     assert [r.max_width for r in rows] == [0, 1, 2, 3, 4, 5]
     assert len(calls) < 36  # of 143 graphs: 31 for pw, 16 for tw
+
+
+def test_census_computes_no_diameter_for_unbounded_d(monkeypatch):
+    def diameter_not_needed(g):
+        raise AssertionError("every level graph is connected")
+
+    monkeypatch.setattr(census_module, "diameter", diameter_not_needed)
+    rows = census(5, complete_graph(3), "subgraph", INFINITE, "td")
+    assert [r.count for r in rows] == [1, 1, 1, 3, 6]
 
 
 def test_census_rejects_bad_diameter_and_order():
