@@ -26,9 +26,10 @@ Search cost: ``nodes`` counts one per connector choice tried, and the
 budget bounds that count only.  A run resumed from a ``--state`` file
 counts from the nodes saved there, so one budget bounds the total.  The
 C_{2r} test after each choice is a DFS from the new edge (a, b) that stops
-at 2r - 1 path vertices: the cycle closes iff ``adj[last] & adj[a]`` has a
-vertex off the path, one mask test instead of a last DFS level.  It counts
-no nodes.
+at 2r - 2 path vertices.  Its last level is one mask test per candidate c
+next on the path: the cycle closes iff ``adj[c] & adj[a]`` has a vertex
+off the path.  For C4 that level is b's neighbourhood, with no DFS at all.
+The test counts no nodes.
 """
 
 from __future__ import annotations
@@ -68,14 +69,43 @@ def _connector_shapes(i: int, j: int, d: int, L: int):
     return shapes
 
 
+class _ForeignState(Exception):
+    """A replayed decision names no choice of its node: the saved state is
+    not a cut of this search."""
+
+
+def _closes_cycle(adj: list[int], close: int, last: int, used: int, levels: int) -> bool:
+    """Whether the path in ``used``, from a to ``last``, closes a cycle of
+    ``levels`` + 4 vertices, where ``close`` is ``adj[a]``.  The DFS adds
+    ``levels`` vertices; the next candidate c then closes the cycle iff
+    ``adj[c] & adj[a]`` has a vertex off the path, one mask test per c.  For
+    C4 (``levels`` 0) that candidate level is the neighbourhood of ``last``."""
+    cand = adj[last] & ~used
+    if levels:
+        while cand:
+            low = cand & -cand
+            if _closes_cycle(adj, close, low.bit_length() - 1, used | low, levels - 1):
+                return True
+            cand ^= low
+        return False
+    close &= ~used  # adj[c] never holds c itself
+    while cand:
+        low = cand & -cand
+        if adj[low.bit_length() - 1] & close:
+            return True
+        cand ^= low
+    return False
+
+
 class _Search:
-    def __init__(self, r: int, d: int, L: int, budget: Budget, vocabulary: int):
+    def __init__(self, r: int, d: int, L: int, budget: Budget, vocabulary: int,
+                 state_path: str | None = None):
         if r < 2 or d not in (2, 3) or L < 2 or vocabulary < 0:
             raise ValueError("need r >= 2, d in {2,3}, L >= 2, vocabulary >= 0")
         self.r = r
         self.d = d
         self.L = L
-        self.cycle_len = 2 * r
+        self.levels = 2 * r - 4  # DFS levels of _closes_cycle
         self.budget = budget
         self.W = vocabulary
         self.size = L + 1 + self.W
@@ -91,7 +121,7 @@ class _Search:
         ]
         self.obligations.sort(key=lambda p: (p[1], p[0]))
         self.decisions: list[int] = []
-        self.state_path: str | None = None
+        self.state_path = state_path
 
     def _dist_at_most(self, a: int, b: int, d: int) -> bool:
         adj = self.adj
@@ -111,27 +141,6 @@ class _Search:
                 return False
         return False
 
-    def _closes_forbidden_cycle(self, a: int, b: int) -> bool:
-        """Any cycle of exactly 2r vertices through edge (a, b)?  The DFS
-        grows the path a, b, ... to 2r - 1 vertices; the cycle closes iff
-        the last vertex and a have a common neighbour off the path."""
-        adj = self.adj
-        close = adj[a]
-        depth = self.cycle_len - 1
-
-        def dfs(last: int, used: int, count: int) -> bool:
-            if count == depth:
-                return bool(adj[last] & close & ~used)
-            cand = adj[last] & ~used
-            while cand:
-                low = cand & -cand
-                if dfs(low.bit_length() - 1, used | low, count + 1):
-                    return True
-                cand ^= low
-            return False
-
-        return dfs(b, (1 << a) | (1 << b), 2)
-
     # -- choice enumeration ------------------------------------------------
 
     def _choices(self, i: int, j: int):
@@ -145,11 +154,17 @@ class _Search:
         out = []
         for shape, a, b in _connector_shapes(i, j, self.d, self.L):
             if shape == "single":  # a - w - b through one witness
+                abit, bbit = 1 << a, 1 << b
                 for w in range(min(used + 1, self.W)):
                     wid = base + w
-                    edges = [(wid, e) for e in (a, b) if not (adj[wid] >> e) & 1]
-                    if edges:
-                        out.append((edges, int(w == used)))
+                    nbrs = adj[wid]
+                    if not nbrs & abit:
+                        edges = ((wid, a),) if nbrs & bbit else ((wid, a), (wid, b))
+                    elif not nbrs & bbit:
+                        edges = ((wid, b),)
+                    else:
+                        continue
+                    out.append((edges, int(w == used)))
                 continue
             # a - x - y - b through two witnesses
             pairs = [(x, y, 0) for x in range(used) for y in range(used) if x != y]
@@ -177,12 +192,14 @@ class _Search:
         template once, on fresh witnesses."""
         probe = _Search(self.r, self.d, self.L, Budget(None), 2)
         adj = probe.adj
+        levels = probe.levels
         for (i, j) in self.obligations:
             for edges, _ in probe._choices(i, j):
                 for u, v in edges:
                     adj[u] ^= 1 << v
                     adj[v] ^= 1 << u
-                bad = any(probe._closes_forbidden_cycle(u, v) for u, v in edges)
+                bad = any(_closes_cycle(adj, adj[u], v, (1 << u) | (1 << v), levels)
+                          for u, v in edges)
                 for u, v in edges:
                     adj[u] ^= 1 << v
                     adj[v] ^= 1 << u
@@ -228,9 +245,12 @@ class _Search:
             return found
         choices = self._choices(i, j)
         adj = self.adj
+        levels = self.levels
         start = replay[0] if replay else 0
         if start == -1:
             start = 0
+        elif start and start >= len(choices):
+            raise _ForeignState  # replaying it would skip every choice
         for ci in range(start, len(choices)):
             edges, fresh = choices[ci]
             self.budget.spend()
@@ -240,7 +260,7 @@ class _Search:
             self.used_witnesses += fresh
             closes = False
             for u, v in edges:
-                if self._closes_forbidden_cycle(u, v):
+                if _closes_cycle(adj, adj[u], v, (1 << u) | (1 << v), levels):
                     closes = True
                     break
             if not closes:
@@ -290,23 +310,34 @@ def refute_path(
 ) -> RefutationOutcome:
     """Search for a C_{2r}-free, diameter-<=d completion pattern around an
     induced path with L edges.  See the module docstring for the exact
-    semantics of the three outcomes."""
+    semantics of the three outcomes.
+
+    ``state_path`` resumes from a state saved for the same r, d, L and
+    vocabulary: its ``decisions`` (a list of ints >= -1) are replayed and
+    its ``nodes`` (an int >= 0) already spent.  Any other file, or one with
+    a replayed index past its node's choices, starts fresh.  A state whose
+    indices are all in range is trusted: the search goes on from the
+    choices it names."""
     W = vocabulary if vocabulary is not None else max(1, (3 * L) // d)
     replay, spent = [], 0
     if state_path:
         try:
             with open(state_path, "r", encoding="utf-8") as fh:
                 saved = json.load(fh)
-            if isinstance(saved, dict) and (
-                [saved.get(k) for k in ("r", "d", "L", "vocabulary")] == [r, d, L, W]
-            ):
-                replay = list(saved.get("decisions", []))
-                spent = int(saved.get("nodes", 0))
-        except (OSError, TypeError, ValueError):
-            replay, spent = [], 0
-    search = _Search(r, d, L, Budget(budget, spent), W)
-    search.state_path = state_path
-    return search.run(replay)
+        except (OSError, ValueError):
+            saved = None
+        if isinstance(saved, dict) and (
+            [saved.get(k) for k in ("r", "d", "L", "vocabulary")] == [r, d, L, W]
+        ):
+            decisions, nodes = saved.get("decisions", []), saved.get("nodes", 0)
+            if (isinstance(decisions, list)
+                    and all(type(x) is int and x >= -1 for x in decisions)
+                    and type(nodes) is int and nodes >= 0):
+                replay, spent = decisions, nodes
+    try:
+        return _Search(r, d, L, Budget(budget, spent), W, state_path).run(replay)
+    except _ForeignState:
+        return _Search(r, d, L, Budget(budget), W, state_path).run([])
 
 
 def verify_model(model: Graph, r: int, d: int, L: int) -> tuple[bool, str]:

@@ -136,6 +136,18 @@ def test_refute_cli(capsys):
     assert "vocabulary >= 0" in err and "Traceback" not in err
 
 
+def test_refute_cli_starts_fresh_from_a_malformed_state(tmp_path, capsys):
+    state = tmp_path / "s.json"
+    argv = ["refute", "--r", "2", "--d", "2", "--length", "8", "--budget", "1000",
+            "--state", str(state)]
+    for decisions in ([99], ["a"], [-5]):
+        state.write_text(json.dumps({"r": 2, "d": 2, "L": 8, "vocabulary": 12,
+                                     "nodes": 0, "decisions": decisions}))
+        code, out = run(argv, capsys)
+        assert code == 0
+        assert (json.loads(out)["status"], json.loads(out)["nodes"]) == ("Consistent", 50)
+
+
 def test_closed_stdout_is_not_a_usage_error(tmp_path, capsys, monkeypatch):
     # a reader that closes the pipe early: no error line and exit 1, the
     # status Python gives a broken pipe; the rest of stdout goes to devnull

@@ -1,10 +1,12 @@
+import json
 import os
 
 import pytest
+from oracles import atlas_graphs, reference_cycles_through_edge
 
 from diamwidth.formats import to_graph6
-from diamwidth.graphs import graph_from_edges
-from diamwidth.refuter import _Search, refute_path, verify_model
+from diamwidth.graphs import bit_indices, graph_from_edges, is_connected
+from diamwidth.refuter import _closes_cycle, _Search, refute_path, verify_model
 
 
 def test_c6_refutation_at_diameter_two():
@@ -105,6 +107,94 @@ def test_a_state_file_that_is_not_an_object_starts_fresh(tmp_path):
         assert (out.status, out.nodes) == ("BudgetExhausted", 3_001)
 
 
+def _forge(path, r, d, L, vocabulary, nodes, decisions):
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump({"r": r, "d": d, "L": L, "vocabulary": vocabulary,
+                   "nodes": nodes, "decisions": decisions}, fh)
+
+
+def test_a_replayed_index_past_its_choices_starts_fresh(tmp_path):
+    # the first obligation of (2, 2, 8) has one choice: index 1 or 99 would
+    # skip it and answer Refuted at 0 nodes; the last list is a 20-node cut
+    # with its last index past its choices
+    state = str(tmp_path / "refute-state.json")
+    fresh = refute_path(2, 2, 8, 1_000)
+    assert (fresh.status, fresh.nodes) == ("Consistent", 50)
+    for decisions in ([99], [1], [5], [1, 1], [0, 0, 1, 2, 1, 3, 2, 99]):
+        _forge(state, 2, 2, 8, 12, 0, decisions)
+        out = refute_path(2, 2, 8, 1_000, state_path=state)
+        assert (out.status, out.nodes) == ("Consistent", 50), decisions
+
+
+def test_decisions_that_are_not_ints_from_minus_one_start_fresh(tmp_path):
+    state = str(tmp_path / "refute-state.json")
+    for decisions in (["a"], "ab", [0.5], [-5], [True], {"0": 0}, None):
+        _forge(state, 2, 2, 8, 12, 0, decisions)
+        out = refute_path(2, 2, 8, 1_000, state_path=state)
+        assert (out.status, out.nodes) == ("Consistent", 50), decisions
+
+
+def test_saved_nodes_that_are_not_a_count_start_fresh(tmp_path):
+    # a negative count would let a run spend past its budget: the state
+    # saved at the cut shows where the search stopped
+    fresh = str(tmp_path / "fresh.json")
+    assert refute_path(2, 2, 16, 100, state_path=fresh).nodes == 101
+    with open(fresh, encoding="utf-8") as fh:
+        expect = fh.read()
+    state = str(tmp_path / "refute-state.json")
+    for nodes in (-100_000, -1, True, 1.5, "3", None):
+        _forge(state, 2, 2, 16, 24, nodes, [])
+        out = refute_path(2, 2, 16, 100, state_path=state)
+        assert (out.status, out.nodes) == ("BudgetExhausted", 101), nodes
+        with open(state, encoding="utf-8") as fh:
+            assert fh.read() == expect, nodes
+
+
+def test_a_forged_state_in_range_is_trusted(tmp_path):
+    # skipping choice 0 at the third obligation: a valid model one node early
+    state = str(tmp_path / "refute-state.json")
+    _forge(state, 2, 2, 8, 12, 0, [0, 0, 1])
+    out = refute_path(2, 2, 8, 1_000, state_path=state)
+    assert (out.status, out.nodes) == ("Consistent", 49)
+    assert verify_model(out.model, 2, 2, 8)[0]
+
+
+def test_closure_test_matches_the_reference_cycle_search():
+    # _closes_cycle on the path (a, b) finds a cycle of 2r vertices iff the
+    # plain DFS lists one through edge ab
+    checked = 0
+    for g in atlas_graphs():
+        if not is_connected(g):
+            continue
+        adj = list(g.adj)
+        for a in range(g.n):
+            for b in bit_indices(adj[a] & ~((1 << (a + 1)) - 1)):
+                for length in (4, 6, 8):
+                    got = _closes_cycle(adj, adj[a], b, (1 << a) | (1 << b), length - 4)
+                    want = bool(reference_cycles_through_edge(g, a, b, length, limit=1)[0])
+                    assert got == want, (g.adj, a, b, length)
+                    checked += got
+    assert checked > 0
+
+
+def test_deeper_searches_are_pinned(tmp_path):
+    # values before the closure test became one module-level helper; the
+    # solvers sweep and PINNED reach only r <= 3
+    out = refute_path(4, 3, 40, 100_000)
+    assert (out.status, out.nodes, out.vocabulary) == ("Refuted", 16_059, 40)
+    cuts = {
+        (5, 3, 40): [0, -1, 1, 0, -1, 8, -1, 27, 15, -1, -1, -1, 10, 10, -1],
+        (6, 3, 30): [0, -1, 0, -1, -1, 0, -1, -1, -1, 3, 6, -1, -1, 5, -1, 10],
+    }
+    for (r, d, L), decisions in cuts.items():
+        state = str(tmp_path / f"state-{r}.json")
+        out = refute_path(r, d, L, 20_000, state_path=state)
+        assert (out.status, out.nodes) == ("BudgetExhausted", 20_001)
+        with open(state, encoding="utf-8") as fh:
+            saved = json.load(fh)
+        assert (saved["nodes"], saved["decisions"]) == (20_001, decisions), (r, d, L)
+
+
 def test_dead_obligations_are_pinned():
     # the 290 values of the grid below before connector edges were built
     # in one place: at d = 2 every common neighbour of p_0 and p_{2r-2}
@@ -123,7 +213,8 @@ def test_vocabulary_is_reported():
 
 
 # (r, d, L), status, nodes, witnesses_used, dead_obligation, model graph6:
-# refute_path(r, d, L, 10_000) before the last-step mask closure.
+# refute_path(r, d, L, 10_000) as it answered before the C_{2r} test ended
+# in a mask level; no change to that test since has moved these values.
 PINNED = [
     ((2, 2, 3), 'Consistent', 1, 1, None, 'Dhc'),
     ((2, 2, 4), 'Consistent', 4, 2, None, 'FhEYO'),
