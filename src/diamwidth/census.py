@@ -28,8 +28,11 @@ and connectivity is checked only for vertices that beat w.  Every child
 that passes is deduplicated by canonical code as before, so the levels,
 their order and their representatives are unchanged.  With a hereditary
 ``keep``, a kept X has every connected X - v kept, so the earlier parent
-is on the pruned level too; a class that is not kept may now be dropped
-before ``keep`` sees it.
+is on the pruned level too.  ``keep`` is asked of each such child before
+its canonical form.  It is a property of the graph, so it cannot split
+an isomorphism class: a class is dropped whole, and the first child seen
+in a kept class is the same.  Only kept children pay for a canonical
+form.
 
 A census grows only F-free graphs.  Freeness under subgraph, induced
 subgraph or minor is hereditary, so every parent G - v of an F-free
@@ -137,10 +140,11 @@ def enumerate_connected_graphs(
 ) -> list[list[Graph]]:
     """levels[n] = connected graphs on n vertices up to isomorphism,
     in canonical-code order (levels[0] is empty).  ``keep``, if given,
-    must be hereditary (true of G implies true of every connected
-    induced subgraph of G); the levels are then those of the unpruned
-    enumeration filtered by it, with the same representatives, and only
-    the graphs it accepts grow the next level."""
+    must be invariant under isomorphism and hereditary (true of G
+    implies true of every connected induced subgraph of G); the levels
+    are then those of the unpruned enumeration filtered by it, with the
+    same representatives, and only the graphs it accepts grow the next
+    level."""
     if n_max > CENSUS_LIMIT:
         raise ValueError(f"census enumeration limited to {CENSUS_LIMIT} vertices")
     k1 = graph_from_edges(1, [])
@@ -155,11 +159,13 @@ def enumerate_connected_graphs(
                 if not _last_may_be_first(adj):
                     continue
                 g = Graph(n, tuple(adj))
+                if keep is not None and not keep(g):
+                    continue
                 auts: list[tuple[int, ...]] = []
                 code = canonical_code(g, automorphisms=auts)
                 if code not in seen:
                     seen[code] = (g, auts)
-        codes = [c for c in sorted(seen) if keep is None or keep(seen[c][0])]
+        codes = sorted(seen)
         levels.append([seen[c][0] for c in codes])
         generators = [seen[c][1] for c in codes]
     return levels

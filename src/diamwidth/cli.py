@@ -255,6 +255,17 @@ def _cmd_convert(args) -> int:
     return EXIT_OK
 
 
+def _budget(text: str) -> int:
+    """The type of every ``--budget``: a node count, 0 or more."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = -1
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"budget must be an integer >= 0, got {text!r}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(
         prog="diamwidth",
@@ -280,7 +291,7 @@ def build_parser() -> argparse.ArgumentParser:
     k.add_argument("--pattern-format", choices=["graph6", "edgelist"])
     k.add_argument("--pattern-family", help="pattern as a family spec")
     k.add_argument("--lengths", help="cycle lengths for vfree/efree, e.g. 6,6,8")
-    k.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
+    k.add_argument("--budget", type=_budget, default=DEFAULT_BUDGET)
     k.set_defaults(fn=_cmd_check)
 
     w = sub.add_parser("width", help="exact width with certificate")
@@ -296,7 +307,7 @@ def build_parser() -> argparse.ArgumentParser:
     cl.add_argument("--relation", choices=["minor", "induced", "subgraph"], required=True)
     cl.add_argument("--parameter", choices=["td", "pw", "tw", "cw"], required=True)
     cl.add_argument("--diameter", required=True, help="integer >= 1 or 'inf'")
-    cl.add_argument("--budget", type=int, default=DEFAULT_CLASSIFY_BUDGET)
+    cl.add_argument("--budget", type=_budget, default=DEFAULT_CLASSIFY_BUDGET)
     cl.add_argument("--json", action="store_true")
     cl.set_defaults(fn=_cmd_classify)
 
@@ -312,7 +323,7 @@ def build_parser() -> argparse.ArgumentParser:
     r.add_argument("--r", type=int, required=True, help="forbidden cycle C_{2r}")
     r.add_argument("--d", type=int, required=True, choices=[2, 3])
     r.add_argument("--length", type=int, required=True, help="edge length of the induced path")
-    r.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
+    r.add_argument("--budget", type=_budget, default=DEFAULT_BUDGET)
     r.add_argument("--vocabulary", type=int, help="witness cap (default 3L/d)")
     r.add_argument("--state", help="resumable search-state file")
     r.set_defaults(fn=_cmd_refute)
@@ -320,7 +331,7 @@ def build_parser() -> argparse.ArgumentParser:
     e = sub.add_parser("experiment", help="run an experiment plan; CSV out")
     e.add_argument("--plan", required=True)
     e.add_argument("--out")
-    e.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
+    e.add_argument("--budget", type=_budget, default=DEFAULT_BUDGET)
     e.set_defaults(fn=_cmd_experiment)
 
     v = sub.add_parser("verify-theorem", help="run a named check bundle")

@@ -28,8 +28,17 @@ counts from the nodes saved there, so one budget bounds the total.  The
 C_{2r} test after each choice is a DFS from the new edge (a, b) that stops
 at 2r - 2 path vertices.  Its last level is one mask test per candidate c
 next on the path: the cycle closes iff ``adj[c] & adj[a]`` has a vertex
-off the path.  For C4 that level is b's neighbourhood, with no DFS at all.
-The test counts no nodes.
+off the path.  The test counts no nodes.
+
+For C4 a single-witness choice is decided by one mask, before any edge is
+written.  It joins a witness w to path vertices a and/or b that share no
+neighbour while their obligation is open (a common neighbour would put
+p_i and p_j within d).  So a C4 runs through a new edge w - v iff
+``reach[v] & adj[w]`` is non-zero, where ``reach[v]`` is the union of
+``adj[c]`` over the neighbours c of v.  ``_choices`` reads these masks
+once per search node, and they hold for all its choices: a closing
+choice writes no edges, and an open one removes its edges on return.
+Two-witness choices and r >= 3 run the DFS.
 """
 
 from __future__ import annotations
@@ -97,6 +106,18 @@ def _closes_cycle(adj: list[int], close: int, last: int, used: int, levels: int)
     return False
 
 
+def _reach(adj: list[int], v: int) -> int:
+    """The union of ``adj[c]`` over the neighbours c of v: the vertices
+    joined to v by a path of two edges, and v itself."""
+    reach = 0
+    nbrs = adj[v]
+    while nbrs:
+        low = nbrs & -nbrs
+        reach |= adj[low.bit_length() - 1]
+        nbrs ^= low
+    return reach
+
+
 class _Search:
     def __init__(self, r: int, d: int, L: int, budget: Budget, vocabulary: int,
                  state_path: str | None = None):
@@ -145,26 +166,35 @@ class _Search:
 
     def _choices(self, i: int, j: int):
         """Every connector template for (p_i, p_j) as the edges it still
-        needs, with the number of fresh witnesses it allocates; existing
-        witnesses before fresh ones, shapes in template order.  The only
-        place templates become edges."""
+        needs, the number of fresh witnesses it allocates, and whether it
+        closes a C4: True or False for a single-witness template when r = 2
+        (one mask, module docstring), None where ``_closes_cycle`` decides.
+        Existing witnesses before fresh ones, shapes in template order.  The
+        only place templates become edges."""
         adj = self.adj
         base = self.L + 1
         used = self.used_witnesses
+        c4 = not self.levels
         out = []
         for shape, a, b in _connector_shapes(i, j, self.d, self.L):
             if shape == "single":  # a - w - b through one witness
                 abit, bbit = 1 << a, 1 << b
+                ra = rb = 0
+                if c4:
+                    ra, rb = _reach(adj, a), _reach(adj, b)
                 for w in range(min(used + 1, self.W)):
                     wid = base + w
                     nbrs = adj[wid]
                     if not nbrs & abit:
-                        edges = ((wid, a),) if nbrs & bbit else ((wid, a), (wid, b))
+                        if nbrs & bbit:
+                            edges, reach = ((wid, a),), ra
+                        else:
+                            edges, reach = ((wid, a), (wid, b)), ra | rb
                     elif not nbrs & bbit:
-                        edges = ((wid, b),)
+                        edges, reach = ((wid, b),), rb
                     else:
                         continue
-                    out.append((edges, int(w == used)))
+                    out.append((edges, int(w == used), bool(reach & nbrs) if c4 else None))
                 continue
             # a - x - y - b through two witnesses
             pairs = [(x, y, 0) for x in range(used) for y in range(used) if x != y]
@@ -180,7 +210,7 @@ class _Search:
                     if not (adj[u] >> v) & 1
                 ]
                 if edges:
-                    out.append((edges, fresh))
+                    out.append((edges, fresh, None))
         return out
 
     # -- dead-shape prepass -------------------------------------------------
@@ -194,7 +224,7 @@ class _Search:
         adj = probe.adj
         levels = probe.levels
         for (i, j) in self.obligations:
-            for edges, _ in probe._choices(i, j):
+            for edges, _, _ in probe._choices(i, j):
                 for u, v in edges:
                     adj[u] ^= 1 << v
                     adj[v] ^= 1 << u
@@ -252,27 +282,28 @@ class _Search:
         elif start and start >= len(choices):
             raise _ForeignState  # replaying it would skip every choice
         for ci in range(start, len(choices)):
-            edges, fresh = choices[ci]
+            edges, fresh, closes = choices[ci]
             self.budget.spend()
-            for u, v in edges:
-                adj[u] |= 1 << v
-                adj[v] |= 1 << u
-            self.used_witnesses += fresh
-            closes = False
-            for u, v in edges:
-                if _closes_cycle(adj, adj[u], v, (1 << u) | (1 << v), levels):
-                    closes = True
-                    break
-            if not closes:
-                self.decisions.append(ci)
-                sub_replay = replay[1:] if (replay and ci == start) else []
-                if self._dfs(k + 1, sub_replay):
-                    return True  # keep the model's edges in place
-                self.decisions.pop()
-            self.used_witnesses -= fresh
-            for u, v in edges:
-                adj[u] &= ~(1 << v)
-                adj[v] &= ~(1 << u)
+            if not closes:  # a closing C4 choice writes no edges
+                for u, v in edges:
+                    adj[u] |= 1 << v
+                    adj[v] |= 1 << u
+                if closes is None:
+                    for u, v in edges:
+                        if _closes_cycle(adj, adj[u], v, (1 << u) | (1 << v), levels):
+                            closes = True
+                            break
+                if not closes:
+                    self.decisions.append(ci)
+                    self.used_witnesses += fresh
+                    sub_replay = replay[1:] if (replay and ci == start) else []
+                    if self._dfs(k + 1, sub_replay):
+                        return True  # keep the model's edges in place
+                    self.decisions.pop()
+                    self.used_witnesses -= fresh
+                for u, v in edges:
+                    adj[u] &= ~(1 << v)
+                    adj[v] &= ~(1 << u)
             if self.budget.spent % _STATE_DUMP_EVERY == 0:
                 self._dump_state()
         return False

@@ -89,6 +89,17 @@ def test_canonical_code_calls_are_pinned(monkeypatch):
     )
     enumerate_connected_graphs(7)
     assert len(calls) == 1033  # 4,159 without the canonical-deletion test
+    # a census asks keep before the canonical form: 483, 178 and 712 calls
+    # when keep was asked of each class after it
+    for spec, relation, expect in (
+        ("cycle:4", "subgraph", 92),
+        ("path:4", "induced", 144),
+        ("cycle:5", "minor", 192),
+    ):
+        forbidden = build_family(spec)
+        calls.clear()
+        enumerate_connected_graphs(7, lambda g: is_pattern_free(g, forbidden, relation))
+        assert len(calls) == expect, spec
 
 
 def test_orbit_minimal_masks():

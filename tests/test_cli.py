@@ -361,3 +361,25 @@ def test_check_rejects_malformed_lengths(tmp_path, capsys):
         assert run(["check", "vfree", "--host", host, "--lengths", bad], capsys)[0] == 2
     for kind in ("vfree", "efree"):  # zero cycles: no bouquet to look for
         assert run(["check", kind, "--host", host, "--lengths", "0x6"], capsys)[0] == 2
+
+
+def test_budget_must_not_be_negative(tmp_path, capsys):
+    g6 = str(tmp_path / "c6.g6")
+    run(["construct", "cycle:6", "--out", g6], capsys)
+    commands = {
+        "check": ["check", "subgraph", "--host", g6, "--pattern", g6],
+        "classify": ["classify", "--forbidden", g6, "--relation", "subgraph",
+                     "--parameter", "td", "--diameter", "3"],
+        "refute": ["refute", "--r", "2", "--d", "2", "--length", "8"],
+        "experiment": ["experiment", "--plan", str(tmp_path / "plan.json")],
+    }
+    for name, argv in commands.items():
+        for bad in ("-5", "-1", "five"):
+            assert main(argv + ["--budget", bad]) == 2, (name, bad)
+            err = capsys.readouterr().err
+            assert "budget must be an integer >= 0" in err and "Traceback" not in err
+    # a budget of 0 is a search that may spend nothing
+    code, out = run(commands["refute"] + ["--budget", "0"], capsys)
+    assert code == 3 and json.loads(out)["status"] == "BudgetExhausted"
+    code, out = run(commands["classify"] + ["--budget", "0"], capsys)
+    assert code == 0 and out.startswith("Open (budget-limited")

@@ -5,8 +5,8 @@ import pytest
 from oracles import atlas_graphs, reference_cycles_through_edge
 
 from diamwidth.formats import to_graph6
-from diamwidth.graphs import bit_indices, graph_from_edges, is_connected
-from diamwidth.refuter import _closes_cycle, _Search, refute_path, verify_model
+from diamwidth.graphs import Budget, bit_indices, graph_from_edges, is_connected
+from diamwidth.refuter import _closes_cycle, _reach, _Search, refute_path, verify_model
 
 
 def test_c6_refutation_at_diameter_two():
@@ -175,6 +175,63 @@ def test_closure_test_matches_the_reference_cycle_search():
                     assert got == want, (g.adj, a, b, length)
                     checked += got
     assert checked > 0
+
+
+def test_c4_mask_rule_matches_the_closure_test():
+    # joining w to one or two non-neighbours that share no neighbour closes a
+    # C4 iff the union of their reach masks meets adj[w]
+    checked = 0
+    for g in atlas_graphs():
+        if not is_connected(g):
+            continue
+        for w in range(g.n):
+            outside = [v for v in range(g.n) if v != w and not g.adj[w] >> v & 1]
+            targets = [(v,) for v in outside] + [
+                (a, b) for a in outside for b in outside
+                if a < b and not g.adj[a] >> b & 1 and not g.adj[a] & g.adj[b]
+            ]
+            for vs in targets:
+                adj = list(g.adj)
+                mask = 0
+                for v in vs:
+                    mask |= _reach(adj, v)
+                got = bool(mask & adj[w])
+                for v in vs:
+                    adj[w] |= 1 << v
+                    adj[v] |= 1 << w
+                want = any(_closes_cycle(adj, adj[w], v, (1 << w) | (1 << v), 0) for v in vs)
+                assert got == want, (g.adj, w, vs)
+                checked += got
+    assert checked > 0
+
+
+def test_c4_flags_of_choices_match_the_closure_test():
+    # every C4 flag that _choices sets during a search is the answer of
+    # _closes_cycle with the choice's edges written
+    flagged = []
+
+    class Checked(_Search):
+        def _choices(self, i, j):
+            out = super()._choices(i, j)
+            adj = self.adj
+            for edges, _, closes in out:
+                if closes is None:
+                    continue
+                for u, v in edges:
+                    adj[u] ^= 1 << v
+                    adj[v] ^= 1 << u
+                want = any(_closes_cycle(adj, adj[u], v, (1 << u) | (1 << v), 0)
+                           for u, v in edges)
+                for u, v in edges:
+                    adj[u] ^= 1 << v
+                    adj[v] ^= 1 << u
+                assert closes == want, (i, j, edges)
+                flagged.append(closes)
+            return out
+
+    for d, L in ((2, 12), (2, 16), (3, 20)):
+        Checked(2, d, L, Budget(10_000), (3 * L) // d).run([])
+    assert True in flagged and False in flagged
 
 
 def test_deeper_searches_are_pinned(tmp_path):
