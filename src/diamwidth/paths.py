@@ -14,7 +14,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .graphs import (
-    ABSENT, DEFAULT_BUDGET, Budget, Graph, are_vertex_ids, bit_indices, budgeted, component_masks,
+    ABSENT, DEFAULT_BUDGET, Budget, BudgetExhausted, Graph, are_vertex_ids, bit_indices, budgeted,
+    component_masks,
 )
 
 PLAIN_EXACT_LIMIT = 18
@@ -39,7 +40,11 @@ class PathWitness:
 
 
 def verify_path_witness(g: Graph, w: PathWitness) -> bool:
+    """Whether ``w`` is a path of g, and an induced one when its kind is
+    "induced"; a kind other than "plain" or "induced" is refused."""
     vs = w.vertices
+    if w.kind not in ("plain", "induced"):
+        return False
     if not are_vertex_ids(g, vs) or len(set(vs)) != len(vs) or not vs:
         return False
     for a, b in zip(vs, vs[1:]):
@@ -121,35 +126,56 @@ def _induced_search(g: Graph, starts, target: int, best: list[int], budget: Budg
     tail is extended by a vertex adjacent to it and to no other path
     vertex, one node per extension.  Leaves in ``best`` the first path with
     ``target`` vertices, else the first longest path seen; when the budget
-    runs out, ``best`` keeps the longest path seen so far."""
-    adj = g.adj
-    path: list[int] = []
-    spend = budget.spend
+    runs out, ``best`` keeps the longest path seen so far.
 
-    def extend(used: int, blocked: int) -> bool:
-        # blocked = neighbourhoods of all non-tail path vertices
-        if len(path) > len(best):
-            best[:] = path
-            if len(best) >= target:
-                return True
-        tail = path[-1]
-        cand = adj[tail] & ~blocked & ~used
-        blocked |= adj[tail]
+    Nodes are counted on a local countdown and added to ``budget.spent``
+    on the way out, so the budget contract is that of ``Budget.spend``:
+    BudgetExhausted at the first node past the limit, with ``spent`` one
+    past it."""
+    adj = g.adj
+    path = [0] * g.n  # path[depth] is the vertex at that depth
+    best_len = len(best)
+    limit = budget.limit
+    # raises when it reaches 0; unlimited starts at 0 and never does
+    left = first = 0 if limit is None else max(limit - budget.spent, 0) + 1
+
+    def extend(depth: int, cand: int, seen: int) -> bool:
+        # cand: the extensions of the tail at ``depth``; seen: the path and
+        # the neighbourhoods of all its vertices, which no extension of a
+        # child may touch
+        nonlocal left, best_len
+        depth += 1
         while cand:
             low = cand & -cand
             cand ^= low
-            spend()
-            path.append(low.bit_length() - 1)
-            if extend(used | low, blocked):
+            left -= 1
+            if not left:
+                raise BudgetExhausted
+            v = low.bit_length() - 1
+            path[depth] = v
+            if depth >= best_len:
+                best_len = depth + 1
+                best[:] = path[:best_len]
+                if best_len >= target:
+                    return True
+            nbrs = adj[v]
+            nxt = nbrs & ~seen
+            if nxt and extend(depth, nxt, seen | nbrs):
                 return True
-            path.pop()
         return False
 
-    for s in starts:
-        path.append(s)
-        if extend(1 << s, 0):
-            return
-        path.pop()
+    try:
+        for s in starts:
+            path[0] = s
+            if not best_len:
+                best_len = 1
+                best[:] = [s]
+                if target <= 1:
+                    return
+            if adj[s] and extend(0, adj[s], adj[s] | 1 << s):
+                return
+    finally:
+        budget.spent += first - left
 
 
 def longest_induced_path(g: Graph) -> PathWitness:

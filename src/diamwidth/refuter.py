@@ -37,7 +37,8 @@ p_i and p_j within d).  So a C4 runs through a new edge w - v iff
 ``reach[v] & adj[w]`` is non-zero, where ``reach[v]`` is the union of
 ``adj[c]`` over the neighbours c of v.  ``_choices`` reads these masks
 once per search node, and they hold for all its choices: a closing
-choice writes no edges, and an open one removes its edges on return.
+choice costs its one node and writes nothing, and an open one removes
+its edges on return.  The dead-obligation prepass reads the same flags.
 Two-witness choices and r >= 3 run the DFS.
 """
 
@@ -176,25 +177,26 @@ class _Search:
         used = self.used_witnesses
         c4 = not self.levels
         out = []
+        fresh_id = base + used
         for shape, a, b in _connector_shapes(i, j, self.d, self.L):
             if shape == "single":  # a - w - b through one witness
                 abit, bbit = 1 << a, 1 << b
                 ra = rb = 0
                 if c4:
                     ra, rb = _reach(adj, a), _reach(adj, b)
-                for w in range(min(used + 1, self.W)):
-                    wid = base + w
+                rab = ra | rb
+                for wid in range(base, base + min(used + 1, self.W)):
                     nbrs = adj[wid]
                     if not nbrs & abit:
                         if nbrs & bbit:
                             edges, reach = ((wid, a),), ra
                         else:
-                            edges, reach = ((wid, a), (wid, b)), ra | rb
+                            edges, reach = ((wid, a), (wid, b)), rab
                     elif not nbrs & bbit:
                         edges, reach = ((wid, b),), rb
                     else:
                         continue
-                    out.append((edges, int(w == used), bool(reach & nbrs) if c4 else None))
+                    out.append((edges, int(wid == fresh_id), bool(reach & nbrs) if c4 else None))
                 continue
             # a - x - y - b through two witnesses
             pairs = [(x, y, 0) for x in range(used) for y in range(used) if x != y]
@@ -219,20 +221,22 @@ class _Search:
         """An obligation all of whose templates close a C_{2r} against the
         bare path; its existence refutes independently of the vocabulary.
         On a probe with no witness placed yet, ``_choices`` lists every
-        template once, on fresh witnesses."""
+        template once, on fresh witnesses; a template it flags is decided
+        by the flag, the others by ``_closes_cycle``."""
         probe = _Search(self.r, self.d, self.L, Budget(None), 2)
         adj = probe.adj
         levels = probe.levels
         for (i, j) in self.obligations:
-            for edges, _, _ in probe._choices(i, j):
-                for u, v in edges:
-                    adj[u] ^= 1 << v
-                    adj[v] ^= 1 << u
-                bad = any(_closes_cycle(adj, adj[u], v, (1 << u) | (1 << v), levels)
-                          for u, v in edges)
-                for u, v in edges:
-                    adj[u] ^= 1 << v
-                    adj[v] ^= 1 << u
+            for edges, _, bad in probe._choices(i, j):
+                if bad is None:
+                    for u, v in edges:
+                        adj[u] ^= 1 << v
+                        adj[v] ^= 1 << u
+                    bad = any(_closes_cycle(adj, adj[u], v, (1 << u) | (1 << v), levels)
+                              for u, v in edges)
+                    for u, v in edges:
+                        adj[u] ^= 1 << v
+                        adj[v] ^= 1 << u
                 if not bad:
                     break
             else:
@@ -276,6 +280,8 @@ class _Search:
         choices = self._choices(i, j)
         adj = self.adj
         levels = self.levels
+        budget = self.budget
+        limit = budget.limit
         start = replay[0] if replay else 0
         if start == -1:
             start = 0
@@ -283,28 +289,33 @@ class _Search:
             raise _ForeignState  # replaying it would skip every choice
         for ci in range(start, len(choices)):
             edges, fresh, closes = choices[ci]
-            self.budget.spend()
-            if not closes:  # a closing C4 choice writes no edges
+            budget.spent = spent = budget.spent + 1  # Budget.spend, inline
+            if limit is not None and spent > limit:
+                raise BudgetExhausted
+            if closes:  # a closing C4 choice writes no edges
+                if not spent % _STATE_DUMP_EVERY:
+                    self._dump_state()
+                continue
+            for u, v in edges:
+                adj[u] |= 1 << v
+                adj[v] |= 1 << u
+            if closes is None:
                 for u, v in edges:
-                    adj[u] |= 1 << v
-                    adj[v] |= 1 << u
-                if closes is None:
-                    for u, v in edges:
-                        if _closes_cycle(adj, adj[u], v, (1 << u) | (1 << v), levels):
-                            closes = True
-                            break
-                if not closes:
-                    self.decisions.append(ci)
-                    self.used_witnesses += fresh
-                    sub_replay = replay[1:] if (replay and ci == start) else []
-                    if self._dfs(k + 1, sub_replay):
-                        return True  # keep the model's edges in place
-                    self.decisions.pop()
-                    self.used_witnesses -= fresh
-                for u, v in edges:
-                    adj[u] &= ~(1 << v)
-                    adj[v] &= ~(1 << u)
-            if self.budget.spent % _STATE_DUMP_EVERY == 0:
+                    if _closes_cycle(adj, adj[u], v, (1 << u) | (1 << v), levels):
+                        closes = True
+                        break
+            if not closes:
+                self.decisions.append(ci)
+                self.used_witnesses += fresh
+                sub_replay = replay[1:] if (replay and ci == start) else []
+                if self._dfs(k + 1, sub_replay):
+                    return True  # keep the model's edges in place
+                self.decisions.pop()
+                self.used_witnesses -= fresh
+            for u, v in edges:
+                adj[u] &= ~(1 << v)
+                adj[v] &= ~(1 << u)
+            if not budget.spent % _STATE_DUMP_EVERY:
                 self._dump_state()
         return False
 

@@ -157,6 +157,40 @@ def brute_longest_induced_path_vertices(g: Graph) -> int:
     return best
 
 
+def reference_induced_search(g: Graph, starts, target: int, best: list[int], budget) -> None:
+    """The induced-path DFS of ``diamwidth.paths`` as it was before it kept
+    its node count in a local: one ``budget.spend()`` per extension, a path
+    list grown and popped, and one call per node.  Same nodes, same order,
+    same ``best`` and the same budget contract."""
+    adj = g.adj
+    path: list[int] = []
+    spend = budget.spend
+
+    def extend(used: int, blocked: int) -> bool:
+        if len(path) > len(best):
+            best[:] = path
+            if len(best) >= target:
+                return True
+        tail = path[-1]
+        cand = adj[tail] & ~blocked & ~used
+        blocked |= adj[tail]
+        while cand:
+            low = cand & -cand
+            cand ^= low
+            spend()
+            path.append(low.bit_length() - 1)
+            if extend(used | low, blocked):
+                return True
+            path.pop()
+        return False
+
+    for s in starts:
+        path.append(s)
+        if extend(1 << s, 0):
+            return
+        path.pop()
+
+
 def brute_longest_path_vertices(g: Graph) -> int:
     """DFS over all simple paths."""
     best = 1

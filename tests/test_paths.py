@@ -1,9 +1,10 @@
 import random
 
 from diamwidth.families import complete_graph, cycle_graph, path_graph, spider
-from diamwidth.graphs import ABSENT, BUDGET, graph_from_edges
+from diamwidth.graphs import ABSENT, BUDGET, Budget, BudgetExhausted, graph_from_edges
 from diamwidth.paths import (
     PathWitness,
+    _induced_search,
     find_induced_path,
     longest_induced_path,
     longest_path,
@@ -11,7 +12,11 @@ from diamwidth.paths import (
 )
 from diamwidth.polarity import er_polarity_graph
 
-from oracles import brute_longest_induced_path_vertices, brute_longest_path_vertices
+from oracles import (
+    brute_longest_induced_path_vertices,
+    brute_longest_path_vertices,
+    reference_induced_search,
+)
 
 
 def random_graph(n: int, p: float, seed: int):
@@ -99,11 +104,48 @@ def test_witness_verifier_rejects_bad_paths():
     g = cycle_graph(5)
     assert not verify_path_witness(g, PathWitness((0, 2), "plain", True))
     assert not verify_path_witness(g, PathWitness((0, 1, 2, 3, 4), "induced", True))
+    # C5's Hamiltonian path is a plain path only: any other kind is refused
+    assert verify_path_witness(g, PathWitness((0, 1, 2, 3, 4), "plain", True))
+    for kind in ("Induced", None):
+        assert not verify_path_witness(g, PathWitness((0, 1, 2, 3, 4), kind, True))
     # ids that are not vertices: -1 must not index vertex 3 from the end
     p4 = path_graph(4)
     for vertices in ((-1, 2), (0.0, 1), (0, True), None, [0, 1]):
         for kind in ("plain", "induced"):
             assert not verify_path_witness(p4, PathWitness(vertices, kind, True))
+
+
+def _run_search(search, g, starts, target, budget):
+    best: list[int] = []
+    try:
+        search(g, starts, target, best, budget)
+        outcome = "returned"
+    except BudgetExhausted:
+        outcome = "exhausted"
+    return best, outcome, budget.spent
+
+
+def test_induced_search_matches_the_recursive_reference():
+    # node for node: the same best path, outcome and nodes spent as the
+    # one-call-per-node search, for a cut anywhere in the search, a search
+    # that reaches its target, and one that runs to the end
+    exhausted = returned = 0
+    for n in range(21, 31):
+        g = random_graph(n, 0.2, n)
+        starts = sorted(range(n), key=lambda v: (-g.degree(v), v))
+        for target in (n, 8):
+            for limit in (0, 1, 5, 100, 777, 5000, 40_000, None):
+                got = _run_search(_induced_search, g, starts, target, Budget(limit))
+                want = _run_search(reference_induced_search, g, starts, target, Budget(limit))
+                assert got == want, (n, target, limit)
+                exhausted += got[1] == "exhausted"
+                returned += got[1] == "returned"
+        # a caller's Budget that has already spent nodes is added to
+        for spent, limit in ((300, 1_000), (1_000, 1_000), (2_000, 1_000), (50, None)):
+            got = _run_search(_induced_search, g, starts, n, Budget(limit, spent))
+            want = _run_search(reference_induced_search, g, starts, n, Budget(limit, spent))
+            assert got == want, (n, spent, limit)
+    assert exhausted and returned
 
 
 def test_heuristic_induced_path_on_er7_is_pinned():

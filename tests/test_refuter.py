@@ -252,6 +252,63 @@ def test_deeper_searches_are_pinned(tmp_path):
         assert (saved["nodes"], saved["decisions"]) == (20_001, decisions), (r, d, L)
 
 
+# refute_path(2, 2, L, 60_000) before each choice was charged inline on the
+# budget: (L, nodes) -> the decisions of each state it saved.  Both dump at
+# 50,000 nodes on a choice that closes a C4, and are cut at 60,001.
+R2_DUMPS = {
+    (20, 50_000): [
+        0, 0, 1, 2, 1, 3, 2, 4, 4, 5, 0, 4, -1, -1, -1, 0, 6, 3, -1, -1, -1, 2, 6, 7,
+        7, 8, -1, -1, 2, 9, 10, 11, 12, -1, -1, 13, 0, 9, 14, -1, -1, 15, 16, -1, -1,
+        0, 17, 18, -1, -1, 19, 20, -1, -1, 21, 2, 17, 22, 23, 24, -1, -1, 25, 26, -1,
+        -1, 27, 4, -1, 11, 8, 15, -1, -1, 26, -1, -1, -1, 27, 1, 14, 5, -1, -1, -1,
+        13, 28, 21, -1, -1, -1, 29, 9, 18, 5, 24
+    ],
+    (20, 60_001): [
+        0, 0, 1, 2, 1, 3, 2, 4, 4, 5, 0, 4, -1, -1, -1, 0, 6, 3, -1, -1, -1, 2, 6, 7,
+        7, 8, -1, -1, 2, 9, 10, 11, 12, -1, -1, 13, 0, 9, 14, -1, -1, 15, 16, -1, -1,
+        0, 17, 18, -1, -1, 19, 20, -1, -1, 21, 2, 17, 22, 23, 24, -1, -1, 25, 26, -1,
+        -1, 27, 4, -1, 11, 8, 15, -1, -1, 26, -1, -1, -1, 27, 6, 14, 5, 28, 19, -1,
+        13, -1, -1, -1, -1, -1, 29, 29, 18, 23, 12
+    ],
+    (23, 50_000): [
+        0, 0, 1, 2, 1, 3, 2, 4, 4, 5, 0, 4, -1, -1, -1, 0, 6, 3, -1, -1, -1, 2, 6, 7,
+        7, 8, -1, -1, 2, 9, 10, 11, 12, -1, -1, 13, 0, 9, 14, -1, -1, 15, 16, -1, -1,
+        0, 17, 18, -1, -1, 19, 20, -1, -1, 21, 2, 17, 22, 23, 24, -1, -1, 25, 26, -1,
+        -1, 2, 27, 14, 28, 29, -1, -1, 30, 31, -1, -1, -1, 32, 6, 18, 5, 29, 15, -1,
+        13, -1, -1, -1, -1, -1, 32, 1, 10, 33, -1, -1, 16
+    ],
+    (23, 60_001): [
+        0, 0, 1, 2, 1, 3, 2, 4, 4, 5, 0, 4, -1, -1, -1, 0, 6, 3, -1, -1, -1, 2, 6, 7,
+        7, 8, -1, -1, 2, 9, 10, 11, 12, -1, -1, 13, 0, 9, 14, -1, -1, 15, 16, -1, -1,
+        0, 17, 18, -1, -1, 19, 20, -1, -1, 21, 2, 17, 22, 23, 24, -1, -1, 25, 26, -1,
+        -1, 2, 27, 14, 28, 29, -1, -1, 30, 31, -1, -1, -1, 32, 6, 18, 5, 29, 15, -1,
+        13, -1, -1, -1, -1, -1, 33, 33, 7, -1, 24
+    ],
+}
+
+
+def test_r2_cuts_are_pinned(tmp_path):
+    # at d = 3, r = 2 searches end Consistent within 200 nodes, and the
+    # 10,000-node PINNED cuts come before any dump
+    dumps = []
+
+    class Recorded(_Search):
+        def _dump_state(self):
+            dumps.append((self.L, self.budget.spent, list(self.decisions)))
+
+    for L in (20, 23):
+        state = str(tmp_path / f"state-{L}.json")
+        out = refute_path(2, 2, L, 60_000, state_path=state)
+        assert (out.status, out.nodes) == ("BudgetExhausted", 60_001)
+        with open(state, encoding="utf-8") as fh:
+            saved = json.load(fh)
+        assert (saved["nodes"], saved["decisions"]) == (60_001, R2_DUMPS[L, 60_001]), L
+        out = Recorded(2, 2, L, Budget(60_000), (3 * L) // 2).run([])
+        assert (out.status, out.nodes) == ("BudgetExhausted", 60_001)
+    assert {(L, nodes): decisions for L, nodes, decisions in dumps} == R2_DUMPS
+    assert len(dumps) == len(R2_DUMPS)
+
+
 def test_dead_obligations_are_pinned():
     # the 290 values of the grid below before connector edges were built
     # in one place: at d = 2 every common neighbour of p_0 and p_{2r-2}
