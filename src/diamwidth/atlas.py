@@ -48,7 +48,6 @@ from .graphs import (
     is_path_graph,
 )
 from .planarity import is_apex_planar, is_planar
-from .polarity import max_common_neighbors
 
 RELATIONS = ("minor", "induced", "subgraph")
 PARAMETERS = ("td", "pw", "tw", "cw")
@@ -73,10 +72,17 @@ def induced_subgraph_of_p4(g: Graph) -> bool:
 
 
 def _apex(g: Graph, test: Callable[[Graph, int], bool]) -> bool:
-    """Whether ``test`` holds on the vertex mask of g or of g minus one
-    vertex."""
+    """Whether ``test``, which holds only on forests, holds on the vertex
+    mask of g or of g minus one vertex.
+
+    A forest on n - 1 >= 1 vertices has at most n - 2 edges, so g - v can
+    pass only if m - deg(v) <= n - 2; once g itself fails, n >= 2 and the
+    other vertices need no test."""
     full = (1 << g.n) - 1
-    return test(g, full) or any(test(g, full & ~(1 << v)) for v in range(g.n))
+    if test(g, full):
+        return True
+    low = g.m - g.n + 2
+    return any(test(g, full & ~(1 << v)) for v, dv in enumerate(g.degrees) if dv >= low)
 
 
 def is_apex_forest(g: Graph) -> bool:
@@ -119,6 +125,28 @@ def subgraph_of_hgraph2(g: Graph) -> bool:
 
 def has_triangle(g: Graph) -> bool:
     return any((g.adj[u] & g.adj[v]) for u, v in g.edges())
+
+
+def has_c4(g: Graph) -> bool:
+    """Whether g has a 4-cycle subgraph, in O(n + m) mask operations.
+
+    For each u, the neighbourhoods (less u) of u's neighbours are gathered
+    one at a time.  A bit w of the next neighbour y's set that is already
+    gathered, from a neighbour x, is none of u, x, y, so u-x-w-y is a C4;
+    every C4 through u is caught at the later of its two neighbours of u."""
+    adj = g.adj
+    for u in range(g.n):
+        not_u = ~(1 << u)
+        gathered = 0
+        nbrs = adj[u]
+        while nbrs:
+            low = nbrs & -nbrs
+            reach = adj[low.bit_length() - 1] & not_u
+            if reach & gathered:
+                return True
+            gathered |= reach
+            nbrs ^= low
+    return False
 
 
 def parse_vtype(g: Graph) -> tuple[int, ...] | None:
@@ -263,7 +291,7 @@ PREDICATES: dict[str, Callable[[Graph, Budget], bool]] = {
     "hgraph2_subgraph": lambda g, b: subgraph_of_hgraph2(g),
     "unicyclic": lambda g, b: cyclomatic_number(g) == 1,
     "c3_subgraph": lambda g, b: has_triangle(g),
-    "c4_subgraph": lambda g, b: max_common_neighbors(g) >= 2,
+    "c4_subgraph": lambda g, b: has_c4(g),
     "c6_subgraph": lambda g, b: find_cycle_subgraph(g, 6, b) is not ABSENT,
     "is_c8": lambda g, b: g.n == 8 and cycle_order(g) is not None,
     "even_cycle_10_to_24": lambda g, b: g.n in range(10, 25, 2) and cycle_order(g) is not None,
@@ -387,7 +415,7 @@ def classify(
         raise ValueError(f"unknown relation {relation!r}")
     if parameter not in PARAMETERS:
         raise ValueError(f"unknown parameter {parameter!r}")
-    if not (d == INFINITE or (isinstance(d, int) and d >= 1)):
+    if not (d == INFINITE or (type(d) is int and d >= 1)):
         raise ValueError("d must be an integer >= 1 or infinity")
     if isinstance(forbidden, Graph):
         graphs = [forbidden]

@@ -145,6 +145,10 @@ def enumerate_connected_graphs(
     are then those of the unpruned enumeration filtered by it, with the
     same representatives, and only the graphs it accepts grow the next
     level."""
+    if type(n_max) is not int:  # a bool or a float is no order here
+        raise ValueError("n_max must be an integer")
+    if n_max < 1:
+        raise ValueError("n_max must be >= 1")
     if n_max > CENSUS_LIMIT:
         raise ValueError(f"census enumeration limited to {CENSUS_LIMIT} vertices")
     k1 = graph_from_edges(1, [])
@@ -211,10 +215,8 @@ def census(
         raise ValueError(f"unknown relation {relation!r}")
     if parameter not in _SOLVERS:
         raise ValueError(f"unknown parameter {parameter!r}")
-    if not (d == INFINITE or (isinstance(d, int) and d >= 1)):
+    if not (d == INFINITE or (type(d) is int and d >= 1)):
         raise ValueError("d must be an integer >= 1 or infinity")
-    if n_max < 1:
-        raise ValueError("n_max must be >= 1")
     solver = _SOLVERS[parameter]
     rows = []
     levels = enumerate_connected_graphs(

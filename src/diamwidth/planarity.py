@@ -209,9 +209,14 @@ def is_planar(g: Graph) -> bool:
 
 
 def is_apex_planar(g: Graph) -> bool:
-    """True iff deleting at most one vertex makes g planar."""
+    """True iff deleting at most one vertex makes g planar.
+
+    A non-planar g has n >= 5, and a planar graph on n - 1 >= 4 vertices
+    has at most 3(n - 1) - 6 edges (Euler), so only a vertex v with
+    m - deg(v) <= 3n - 9 is tried."""
     from .graphs import delete_vertex
 
     if is_planar(g):
         return True
-    return any(is_planar(delete_vertex(g, v)) for v in range(g.n))
+    low = g.m - 3 * g.n + 9
+    return any(is_planar(delete_vertex(g, v)) for v, dv in enumerate(g.degrees) if dv >= low)

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import math
+import random
 from itertools import combinations, combinations_with_replacement, product
 
 import pytest
@@ -13,6 +14,7 @@ from diamwidth.atlas import (
     RegistryConsistencyError,
     classify,
     citation_statement,
+    has_c4,
     in_script_s,
     is_apex_forest,
     is_apex_linear_forest,
@@ -26,6 +28,7 @@ from diamwidth.atlas import (
 from diamwidth.containment import ABSENT, has_subgraph
 from diamwidth.families import (
     apex_path,
+    complete_bipartite,
     complete_graph,
     cycle_bouquet,
     cycle_graph,
@@ -43,6 +46,9 @@ from diamwidth.graphs import (
     disjoint_union,
     graph_from_edges,
 )
+from diamwidth.planarity import is_apex_planar
+from diamwidth.polarity import er_polarity_graph, max_common_neighbors
+from catalog import CATALOG
 from oracles import (
     atlas_graphs,
     reference_in_script_s,
@@ -213,6 +219,39 @@ def test_forest_recognizers_match_networkx():
             assert nx.is_isomorphic(to_networkx(got), h.subgraph(keep))
 
 
+def _graphs_beyond_the_atlas():
+    """Seeded G(n, p) for n = 8..30, every catalog forbidden graph, C_n,
+    K_n, K_{s,t} and ER_q: graphs on which the apex and C4 filters of
+    ``atlas`` and ``planarity`` are compared with their references."""
+    rng = random.Random(24)
+    graphs = []
+    for n in range(8, 31):
+        for p in (1.0 / n, 1.5 / n, 2.5 / n, 0.15, 0.3):
+            graphs.append(graph_from_edges(
+                n, [(u, v) for u, v in combinations(range(n), 2) if rng.random() < p]))
+    for _label, factory, *_rest in CATALOG:
+        made = factory()
+        graphs.extend(made if isinstance(made, list) else [made])
+    graphs += [cycle_graph(n) for n in range(3, 31)]
+    graphs += [complete_graph(n) for n in range(1, 10)]
+    graphs += [complete_bipartite(s, t) for s in range(1, 5) for t in range(s, 7)]
+    graphs += [er_polarity_graph(q) for q in (2, 3, 5, 7)]
+    return graphs
+
+
+def test_filtered_recognizers_match_references_beyond_the_atlas():
+    nx = pytest.importorskip("networkx")
+    for g in _graphs_beyond_the_atlas():
+        h = to_networkx(g)
+        assert is_apex_forest(g) == reference_is_apex_forest(h), g
+        assert is_apex_linear_forest(g) == reference_is_apex_linear_forest(h), g
+        assert has_c4(g) == (max_common_neighbors(g) >= 2), g
+        full = (1 << g.n) - 1
+        planar = nx.check_planarity(h)[0] or any(
+            nx.check_planarity(to_networkx(g, full & ~(1 << v)))[0] for v in range(g.n))
+        assert is_apex_planar(g) == planar, g
+
+
 def test_classify_spec_examples():
     assert classify(cycle_graph(6), "subgraph", "td", 2).answer == "Bounded"
     assert classify(cycle_graph(6), "subgraph", "td", 2).citation == "unicyclic-d2"
@@ -244,8 +283,9 @@ def test_classify_traces_component_reduction():
 def test_classify_rejects_malformed_queries():
     with pytest.raises(ValueError):
         classify([cycle_graph(4), cycle_graph(5)], "subgraph", "td", 2)
-    with pytest.raises(ValueError):
-        classify(cycle_graph(4), "subgraph", "td", 0)
+    for d in (0, True):
+        with pytest.raises(ValueError):
+            classify(cycle_graph(4), "subgraph", "td", d)
     with pytest.raises(ValueError):
         classify(cycle_graph(4), "subgraph", "gw", 2)
 

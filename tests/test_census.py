@@ -222,8 +222,16 @@ def test_census_computes_no_diameter_for_unbounded_d(monkeypatch):
 
 
 def test_census_rejects_bad_diameter_and_order():
-    for d in (0, -1, 2.5):
+    for d in (0, -1, 2.5, True):
         with pytest.raises(ValueError, match="d must be an integer >= 1 or infinity"):
             census(4, complete_graph(3), "subgraph", d, "td")
-    with pytest.raises(ValueError, match="n_max"):
-        census(0, complete_graph(3), "subgraph", 2, "td")
+    for n_max in (0, True, False, 2.0):
+        with pytest.raises(ValueError, match="n_max"):
+            census(n_max, complete_graph(3), "subgraph", 2, "td")
+
+
+def test_enumeration_rejects_orders_below_one():
+    for n_max in (0, -1, True, 1.0):
+        with pytest.raises(ValueError, match="n_max"):
+            enumerate_connected_graphs(n_max)
+    assert [len(level) for level in enumerate_connected_graphs(1)] == [0, 1]

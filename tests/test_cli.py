@@ -1,8 +1,12 @@
 import json
+import os
+import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import diamwidth
 from diamwidth.cli import build_parser, main
 from diamwidth.experiments import THEOREM_CHECKS
 from diamwidth.formats import read_graph
@@ -383,3 +387,12 @@ def test_budget_must_not_be_negative(tmp_path, capsys):
     assert code == 3 and json.loads(out)["status"] == "BudgetExhausted"
     code, out = run(commands["classify"] + ["--budget", "0"], capsys)
     assert code == 0 and out.startswith("Open (budget-limited")
+
+
+def test_package_runs_as_a_module():
+    root = str(Path(diamwidth.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [root, os.environ.get("PYTHONPATH")])))
+    done = subprocess.run([sys.executable, "-m", "diamwidth", "--help"],
+                          env=env, capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.startswith("usage: diamwidth")
