@@ -158,17 +158,36 @@ def _bipartite_lacks_cycle(g: Graph, length: int) -> bool:
     )
 
 
+def _surplus_twins(g: Graph) -> int:
+    """The degree-2 vertices after the first two of each class with one
+    neighbour mask.  A cycle holds at most two of a class, since each takes
+    a cycle edge at both of their neighbours, so a cycle through a surplus
+    twin still exists, of the same length, through a kept one it skips."""
+    seen: dict[int, int] = {}
+    surplus = 0
+    for v, nbrs in enumerate(g.adj):
+        if nbrs.bit_count() == 2:
+            seen[nbrs] = seen.get(nbrs, 0) + 1
+            if seen[nbrs] > 2:
+                surplus |= 1 << v
+    return surplus
+
+
 def find_cycle_subgraph(g: Graph, length: int, budget: int | Budget | None = DEFAULT_BUDGET):
     """Any C_length subgraph of g as a vertex tuple, ABSENT or BUDGET.
     A bipartite host that is too small on one side is settled before the
-    search."""
+    search, and the search avoids surplus twins (``_surplus_twins``).  The
+    first cycle in search order holds none, as swapping one for a lower
+    kept twin gives an earlier cycle, so the answer is the one found
+    without avoiding them."""
     if _bipartite_lacks_cycle(g, length):
         return ABSENT
+    surplus = _surplus_twins(g)
 
     def search(budget):
         for v in range(g.n):
             # cycles whose minimum vertex is v: avoid all smaller ids
-            cyc = cycles_through_vertex(g, v, length, (1 << v) - 1, 1, budget)
+            cyc = cycles_through_vertex(g, v, length, (1 << v) - 1 | surplus, 1, budget)
             if cyc:
                 return cyc[0]
         return ABSENT

@@ -36,10 +36,16 @@ neighbour while their obligation is open (a common neighbour would put
 p_i and p_j within d).  So a C4 runs through a new edge w - v iff
 ``reach[v] & adj[w]`` is non-zero, where ``reach[v]`` is the union of
 ``adj[c]`` over the neighbours c of v.  ``_choices`` reads these masks
-once per search node, and they hold for all its choices: a closing
-choice costs its one node and writes nothing, and an open one removes
-its edges on return.  The dead-obligation prepass reads the same flags.
-Two-witness choices and r >= 3 run the DFS.
+once per search node, and they hold for all its choices.  It builds only
+the choices the search will try, each with its template index, and
+counts the closing ones.  ``_dfs`` pays for each run of closing
+templates between two tried ones in one step, one node per template: the
+budget cut and the state dumps fall on the node counts they would if
+each template were tried, and saved decisions are template indices.  A
+tried choice removes its edges on return.  The dead-obligation prepass
+reads the same count.  Two-witness choices and r >= 3 run the DFS.  At
+d = 2 an obligation is met when p_i and p_j are adjacent or share a
+neighbour, two mask tests; d = 3 runs a breadth-first search.
 """
 
 from __future__ import annotations
@@ -145,11 +151,13 @@ class _Search:
         self.decisions: list[int] = []
         self.state_path = state_path
 
-    def _dist_at_most(self, a: int, b: int, d: int) -> bool:
+    def _dist_at_most(self, a: int, b: int) -> bool:
+        """Whether p_a and p_b are within d by breadth-first search; at
+        d = 2 ``_dfs`` asks for an edge or a common neighbour instead."""
         adj = self.adj
         seen = 1 << a
         frontier = seen
-        for _ in range(d):
+        for _ in range(self.d):
             grow = 0
             while frontier:
                 low = frontier & -frontier
@@ -165,38 +173,43 @@ class _Search:
 
     # -- choice enumeration ------------------------------------------------
 
-    def _choices(self, i: int, j: int):
-        """Every connector template for (p_i, p_j) as the edges it still
-        needs, the number of fresh witnesses it allocates, and whether it
-        closes a C4: True or False for a single-witness template when r = 2
-        (one mask, module docstring), None where ``_closes_cycle`` decides.
-        Existing witnesses before fresh ones, shapes in template order.  The
-        only place templates become edges."""
+    def _choices(self, i: int, j: int) -> tuple[int, list]:
+        """The connector templates for (p_i, p_j) as (count, open), in
+        template order: existing witnesses before fresh ones, shapes in
+        ``_connector_shapes`` order.  ``open`` holds the templates the
+        search will try, each as its template index, the edges it still
+        needs, the number of fresh witnesses it allocates and a flag: False
+        for a single-witness template that the C4 mask (module docstring)
+        clears when r = 2, None where ``_closes_cycle`` decides.  A template
+        the C4 mask finds closing is counted, never built.  The only place
+        templates become edges."""
         adj = self.adj
         base = self.L + 1
         used = self.used_witnesses
         c4 = not self.levels
+        flag = False if c4 else None
         out = []
+        ci = 0  # template index
         fresh_id = base + used
         for shape, a, b in _connector_shapes(i, j, self.d, self.L):
             if shape == "single":  # a - w - b through one witness
                 abit, bbit = 1 << a, 1 << b
-                ra = rb = 0
+                ra = rb = 0  # masks that skip nothing when r >= 3
                 if c4:
                     ra, rb = _reach(adj, a), _reach(adj, b)
-                rab = ra | rb
                 for wid in range(base, base + min(used + 1, self.W)):
                     nbrs = adj[wid]
-                    if not nbrs & abit:
+                    if nbrs & abit:
                         if nbrs & bbit:
-                            edges, reach = ((wid, a),), ra
-                        else:
-                            edges, reach = ((wid, a), (wid, b)), rab
-                    elif not nbrs & bbit:
-                        edges, reach = ((wid, b),), rb
-                    else:
-                        continue
-                    out.append((edges, int(wid == fresh_id), bool(reach & nbrs) if c4 else None))
+                            continue
+                        if not nbrs & rb:
+                            out.append((ci, ((wid, b),), 0, flag))
+                    elif nbrs & bbit:
+                        if not nbrs & ra:
+                            out.append((ci, ((wid, a),), 0, flag))
+                    elif not nbrs & (ra | rb):
+                        out.append((ci, ((wid, a), (wid, b)), int(wid == fresh_id), flag))
+                    ci += 1
                 continue
             # a - x - y - b through two witnesses
             pairs = [(x, y, 0) for x in range(used) for y in range(used) if x != y]
@@ -212,8 +225,9 @@ class _Search:
                     if not (adj[u] >> v) & 1
                 ]
                 if edges:
-                    out.append((edges, fresh, None))
-        return out
+                    out.append((ci, edges, fresh, None))
+                    ci += 1
+        return ci, out
 
     # -- dead-shape prepass -------------------------------------------------
 
@@ -221,13 +235,14 @@ class _Search:
         """An obligation all of whose templates close a C_{2r} against the
         bare path; its existence refutes independently of the vocabulary.
         On a probe with no witness placed yet, ``_choices`` lists every
-        template once, on fresh witnesses; a template it flags is decided
-        by the flag, the others by ``_closes_cycle``."""
+        template once, on fresh witnesses; one it counts but does not build
+        closes a C4, one it flags False does not, and ``_closes_cycle``
+        decides the others."""
         probe = _Search(self.r, self.d, self.L, Budget(None), 2)
         adj = probe.adj
         levels = probe.levels
         for (i, j) in self.obligations:
-            for edges, _, bad in probe._choices(i, j):
+            for _, edges, _, bad in probe._choices(i, j)[1]:
                 if bad is None:
                     for u, v in edges:
                         adj[u] ^= 1 << v
@@ -272,30 +287,31 @@ class _Search:
         if k == len(self.obligations):
             return True
         i, j = self.obligations[k]
-        if self._dist_at_most(i, j, self.d):
+        adj = self.adj
+        if (adj[i] >> j & 1 or adj[i] & adj[j]) if self.d == 2 else self._dist_at_most(i, j):
             self.decisions.append(-1)
             found = self._dfs(k + 1, replay[1:] if replay else [])
             self.decisions.pop()
             return found
-        choices = self._choices(i, j)
-        adj = self.adj
+        total, choices = self._choices(i, j)
         levels = self.levels
         budget = self.budget
         limit = budget.limit
         start = replay[0] if replay else 0
         if start == -1:
             start = 0
-        elif start and start >= len(choices):
+        elif start and start >= total:
             raise _ForeignState  # replaying it would skip every choice
-        for ci in range(start, len(choices)):
-            edges, fresh, closes = choices[ci]
+        charged = start  # templates before this one are paid for
+        for ci, edges, fresh, closes in choices:
+            if ci < start:
+                continue
+            if ci > charged:
+                self._charge(ci - charged)  # the closing templates between
+            charged = ci + 1
             budget.spent = spent = budget.spent + 1  # Budget.spend, inline
             if limit is not None and spent > limit:
                 raise BudgetExhausted
-            if closes:  # a closing C4 choice writes no edges
-                if not spent % _STATE_DUMP_EVERY:
-                    self._dump_state()
-                continue
             for u, v in edges:
                 adj[u] |= 1 << v
                 adj[v] |= 1 << u
@@ -317,7 +333,28 @@ class _Search:
                 adj[v] &= ~(1 << u)
             if not budget.spent % _STATE_DUMP_EVERY:
                 self._dump_state()
+        if total > charged:
+            self._charge(total - charged)
         return False
+
+    def _charge(self, run: int) -> None:
+        """Pay for ``run`` closing templates in one step, as one node each
+        would: a state dump at each multiple of ``_STATE_DUMP_EVERY`` the run
+        reaches within the limit, then BudgetExhausted at the first node
+        past the limit."""
+        budget = self.budget
+        spent = budget.spent
+        limit = budget.limit
+        end = spent + run
+        top = end if limit is None else min(end, limit)
+        for mark in range(spent - spent % _STATE_DUMP_EVERY + _STATE_DUMP_EVERY,
+                          top + 1, _STATE_DUMP_EVERY):
+            budget.spent = mark
+            self._dump_state()
+        if top < end:
+            budget.spent = limit + 1
+            raise BudgetExhausted
+        budget.spent = end
 
     def model_graph(self) -> Graph:
         n = self.L + 1 + self.used_witnesses

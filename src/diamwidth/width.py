@@ -224,27 +224,33 @@ def _order_within(g: Graph, k: int, step) -> list[int] | None:
     for treewidth it is the number of neighbours of v's component C in
     G[T], which every order reaching T paid when it placed C's last
     vertex."""
-    full = (1 << g.n) - 1
-    seen: set[int] = set()
     order: list[int] = []
+    return order if _grow(0, (1 << g.n) - 1, k, step, set(), order) else None
 
-    def grow(placed: int) -> bool:
-        if placed == full:
+
+def _grow(placed: int, full: int, k: int, step, seen: set[int], order: list[int]) -> bool:
+    """``_order_within`` from the set ``placed``.  A module function, not
+    a closure: a recursive closure is a reference cycle, which would keep
+    ``seen`` (megabytes at 18 vertices) alive until the garbage collector
+    runs."""
+    if placed == full:
+        return True
+    todo = full & ~placed
+    while todo:
+        low = todo & -todo
+        todo ^= low
+        nxt = placed | low
+        if nxt in seen:
+            continue
+        seen.add(nxt)
+        v = low.bit_length() - 1
+        if step(placed, v) > k:
+            continue
+        order.append(v)
+        if _grow(nxt, full, k, step, seen, order):
             return True
-        for v in bit_indices(full & ~placed):
-            nxt = placed | 1 << v
-            if nxt in seen:
-                continue
-            seen.add(nxt)
-            if step(placed, v) > k:
-                continue
-            order.append(v)
-            if grow(nxt):
-                return True
-            order.pop()
-        return False
-
-    return order if grow(0) else None
+        order.pop()
+    return False
 
 
 def _least_width(g: Graph, lower: int, upper: int, order: list[int], step) -> tuple[int, list[int]]:
@@ -260,8 +266,15 @@ def _least_width(g: Graph, lower: int, upper: int, order: list[int], step) -> tu
 
 def _separation(g: Graph, placed: int) -> int:
     """Vertices of ``placed`` with a neighbour outside it."""
+    adj = g.adj
     outside = ((1 << g.n) - 1) & ~placed
-    return sum(1 for u in bit_indices(placed) if g.adj[u] & outside)
+    count = 0
+    while placed:
+        low = placed & -placed
+        if adj[low.bit_length() - 1] & outside:
+            count += 1
+        placed ^= low
+    return count
 
 
 def pathwidth_of_order(g: Graph, order: tuple[int, ...]) -> int:
@@ -287,14 +300,17 @@ def pathwidth_exact(g: Graph) -> WidthResult:
 
 def _q_size(g: Graph, inside: int, v: int) -> int:
     """Vertices outside inside|{v} reachable from v through ``inside``."""
+    adj = g.adj
     reach_in = 0
-    out = g.adj[v] & ~inside & ~(1 << v)
-    frontier = g.adj[v] & inside
+    out = adj[v] & ~inside & ~(1 << v)
+    frontier = adj[v] & inside
     while frontier:
         reach_in |= frontier
         grow = 0
-        for u in bit_indices(frontier):
-            grow |= g.adj[u]
+        while frontier:
+            low = frontier & -frontier
+            grow |= adj[low.bit_length() - 1]
+            frontier ^= low
         out |= grow & ~inside & ~(1 << v)
         frontier = grow & inside & ~reach_in
     return out.bit_count()

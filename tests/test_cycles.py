@@ -61,18 +61,19 @@ def test_find_cycle_subgraph():
     assert find_cycle_subgraph(spider([2, 2, 2]), 4) is ABSENT
 
 
+def searched(g, length):
+    """The first C_length by minimum vertex, with no vertex left out."""
+    for v in range(g.n):
+        cyc = cycles_through_vertex(g, v, length, (1 << v) - 1, 1, None)
+        if cyc:
+            return cyc[0]
+    return ABSENT
+
+
 def test_bipartite_hosts_are_settled_as_the_search_answers():
     """Odd cycles are absent from bipartite hosts, and so is a C_2m when no
     component of the 2-core has m vertices on each side: on every
     bipartite graph with <= 7 vertices the answer is the search's."""
-
-    def searched(g, length):
-        for v in range(g.n):
-            cyc = cycles_through_vertex(g, v, length, (1 << v) - 1, 1, None)
-            if cyc:
-                return cyc[0]
-        return ABSENT
-
     settled = 0
     for g in filter(is_bipartite, atlas_graphs()):
         for length in range(3, 9):
@@ -87,6 +88,29 @@ def test_bipartite_hosts_are_settled_as_the_search_answers():
     c4_tail = graph_from_edges(7, [(0, 1), (1, 2), (2, 3), (3, 0), (3, 4), (4, 5), (5, 6)])
     assert cycles._bipartite_lacks_cycle(c4_tail, 6)
     assert find_cycle_subgraph(c4_tail, 4) == (0, 1, 2, 3)
+
+
+def test_surplus_twins_leave_the_answer_as_it_was():
+    # random hosts with classes of degree-2 twins, labels shuffled: the
+    # search that skips twins past two per class finds the cycle that the
+    # search over every vertex finds first
+    rng = random.Random(25)
+    skipped = 0
+    for _ in range(150):
+        n = rng.randint(4, 8)
+        edges = {(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < 0.35}
+        m = n
+        for _ in range(rng.randint(1, 2)):
+            x, y = rng.sample(range(n), 2)
+            for _ in range(rng.randint(2, 4)):
+                edges |= {(x, m), (y, m)}
+                m += 1
+        perm = rng.sample(range(m), m)
+        g = graph_from_edges(m, [(perm[u], perm[v]) for u, v in edges])
+        skipped += cycles._surplus_twins(g) != 0
+        for length in range(3, 9):
+            assert find_cycle_subgraph(g, length, None) == searched(g, length), (g.adj, length)
+    assert skipped > 0
 
 
 def test_packing_examples():

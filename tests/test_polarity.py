@@ -68,9 +68,13 @@ def test_verify_polarity_claims():
     rep = verify_polarity_claims(complete_bipartite(1001, 2), 8)
     assert rep.passed and rep.cycle_witness is ABSENT
     # joining the two hubs breaks bipartiteness; still C6-free (a leaf sees
-    # only the hubs), but the default-budget C6 search runs out
+    # only the hubs).  The leaves are degree-2 twins, and the search tries
+    # two of them: 15 nodes settle it, so a 10-node budget runs out
     k = complete_bipartite(200, 2)
-    rep = verify_polarity_claims(graph_from_edges(k.n, [*k.edges(), (200, 201)]), 8)
+    g = graph_from_edges(k.n, [*k.edges(), (200, 201)])
+    rep = verify_polarity_claims(g, 8)
+    assert rep.passed and rep.cycle_witness is ABSENT
+    rep = verify_polarity_claims(g, 8, budget=10)
     assert rep.cycle_witness is BUDGET and not rep.passed
     assert "ran out of budget" in rep.reason()
 

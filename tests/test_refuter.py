@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 
@@ -206,17 +207,22 @@ def test_c4_mask_rule_matches_the_closure_test():
 
 
 def test_c4_flags_of_choices_match_the_closure_test():
-    # every C4 flag that _choices sets during a search is the answer of
-    # _closes_cycle with the choice's edges written
+    # every template of a search node, skipped or kept, against _closes_cycle
+    # with its edges written: _choices skips only templates that close a C4
+    # and flags False only ones that do not.  The full list comes from
+    # _choices with the C4 mask off.
     flagged = []
 
     class Checked(_Search):
         def _choices(self, i, j):
-            out = super()._choices(i, j)
+            total, out = super()._choices(i, j)
+            self.levels = 2
+            every = super()._choices(i, j)[1]
+            self.levels = 0
+            assert [ci for ci, *_ in every] == list(range(total)), (i, j)
+            kept = {ci: (edges, fresh, closes) for ci, edges, fresh, closes in out}
             adj = self.adj
-            for edges, _, closes in out:
-                if closes is None:
-                    continue
+            for ci, edges, fresh, _ in every:
                 for u, v in edges:
                     adj[u] ^= 1 << v
                     adj[v] ^= 1 << u
@@ -225,9 +231,15 @@ def test_c4_flags_of_choices_match_the_closure_test():
                 for u, v in edges:
                     adj[u] ^= 1 << v
                     adj[v] ^= 1 << u
-                assert closes == want, (i, j, edges)
-                flagged.append(closes)
-            return out
+                if ci not in kept:
+                    assert want, (i, j, edges)
+                    flagged.append(True)
+                    continue
+                assert kept[ci][:2] == (edges, fresh), (i, j, ci)
+                if kept[ci][2] is not None:
+                    assert not want, (i, j, edges)
+                    flagged.append(False)
+            return total, out
 
     for d, L in ((2, 12), (2, 16), (3, 20)):
         Checked(2, d, L, Budget(10_000), (3 * L) // d).run([])
@@ -307,6 +319,45 @@ def test_r2_cuts_are_pinned(tmp_path):
         assert (out.status, out.nodes) == ("BudgetExhausted", 60_001)
     assert {(L, nodes): decisions for L, nodes, decisions in dumps} == R2_DUMPS
     assert len(dumps) == len(R2_DUMPS)
+
+
+def test_searches_and_their_dumps_are_pinned():
+    # SHA-256 of the grid below before _choices skipped the templates that
+    # close a C4: outcome, nodes, witnesses, dead obligation, model and every
+    # saved state.  Many cuts come inside a run of closing templates, and
+    # the 50,000 and 60,000-node runs dump inside one.  Each 1,000-node cut
+    # is resumed with a budget past and one under its saved nodes.
+    entries = []
+
+    class Recorded(_Search):
+        def _dump_state(self):
+            self.dumps.append((self.budget.spent, list(self.decisions)))
+
+    def run(r, d, L, budget, spent=0, replay=()):
+        search = Recorded(r, d, L, Budget(budget, spent), max(1, (3 * L) // d))
+        search.dumps = []
+        out = search.run(list(replay))
+        model = to_graph6(out.model) if out.model is not None else None
+        entries.append([r, d, L, budget, spent, list(replay), out.status, out.nodes,
+                        out.witnesses_used, out.dead_obligation, model, search.dumps])
+        return search.dumps
+
+    for r in (2, 3):
+        for d in (2, 3):
+            for L in range(3, 24):
+                for budget in (137, 1_000, 10_000):
+                    dumps = run(r, d, L, budget)
+                    if budget == 1_000 and dumps:
+                        nodes, decisions = dumps[-1]
+                        run(r, d, L, 10_000, nodes, decisions)
+                        run(r, d, L, 137, nodes, decisions)
+    for L in (20, 23):  # a dump on the limit; a resume from the 50,000 dump
+        run(2, 2, L, 50_000)
+        nodes, decisions = run(2, 2, L, 60_000)[0]
+        run(2, 2, L, 60_000, nodes, decisions)
+    assert len(entries) == 306
+    digest = hashlib.sha256(json.dumps(entries).encode()).hexdigest()
+    assert digest == "34fed5ed05b4ee4b0d6abdcbd7f054d9b6e0c1284da1acf82dbb4194e594f067"
 
 
 def test_dead_obligations_are_pinned():

@@ -21,6 +21,8 @@ from diamwidth.width import (
     SizeLimitError,
     TreeDecomposition,
     WidthResult,
+    _q_size,
+    _separation,
     pathwidth_exact,
     treedepth_bounds,
     treedepth_exact,
@@ -206,6 +208,42 @@ def test_width_digest_over_every_graph_up_to_seven_vertices():
         assert all(verify_certificate(g, r) for r in results), g
         digest.update(bytes(r.value for r in results))
     assert digest.hexdigest() == "299bb434d66102de96e0a723a529c989e9134311"
+
+
+def _reference_separation(nbrs, inside):
+    return sum(1 for u in inside if any(w not in inside for w in nbrs[u]))
+
+
+def _reference_q_size(nbrs, inside, v):
+    # vertices off inside + {v} at the end of a path from v whose interior
+    # lies in inside
+    seen, todo, found = {v}, [v], set()
+    while todo:
+        for w in nbrs[todo.pop()]:
+            if w in seen:
+                continue
+            seen.add(w)
+            if w in inside:
+                todo.append(w)
+            else:
+                found.add(w)
+    return len(found)
+
+
+def test_width_steps_match_set_references():
+    # every (mask, v) of the graphs up to six vertices, and 2,000 seeded
+    # masks of each width graph of the solvers corpus
+    rng = random.Random(25)
+    cases = [(g, range(1 << g.n)) for g in atlas_graphs() if g.n <= 6]
+    cases += [(g, [rng.getrandbits(n) for _ in range(2_000)])
+              for n in (13, 14, 18) for g in [gnp(n, n, 0.3)]]
+    for g, masks in cases:
+        nbrs = [[w for w in range(g.n) if g.has_edge(u, w)] for u in range(g.n)]
+        for mask in masks:
+            inside = {v for v in range(g.n) if mask >> v & 1}
+            assert _separation(g, mask) == _reference_separation(nbrs, inside), (g.adj, mask)
+            for v in range(g.n):
+                assert _q_size(g, mask, v) == _reference_q_size(nbrs, inside, v), (g.adj, mask, v)
 
 
 @pytest.mark.parametrize(
