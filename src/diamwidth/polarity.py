@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .cycles import find_cycle_subgraph
-from .graphs import ABSENT, BUDGET, DEFAULT_BUDGET, Budget, Graph, diameter, graph_from_edges
+from .graphs import ABSENT, BUDGET, Graph, diameter, graph_from_edges
 
 
 def is_prime(q: int) -> bool:
@@ -91,23 +91,19 @@ class PolarityReport:
         return f"diameter {self.diameter_actual} exceeds {self.diameter_bound}"
 
 
-def verify_polarity_claims(
-    g: Graph, incidence_girth: int, budget: int | Budget | None = DEFAULT_BUDGET
-) -> PolarityReport:
+def verify_polarity_claims(g: Graph, incidence_girth: int) -> PolarityReport:
     """Check the polarity-graph properties implied by a generalized polygon.
 
     A polarity graph of a generalized m-gon (incidence girth 2m) must avoid
     C_{2(m-1)} as a subgraph and have diameter at most m-1.  Accepted
     incidence girths: 6 (projective plane: C4-free, diameter 2) and 8
-    (generalized quadrangle: C6-free, diameter 3).  ``budget`` goes to the
-    cycle search, as in ``find_cycle_subgraph``: a limit that runs out
-    fails the check with witness BUDGET.
+    (generalized quadrangle: C6-free, diameter 3).
     """
     if incidence_girth not in (6, 8):
         raise ValueError("incidence girth must be 6 (plane) or 8 (quadrangle)")
     m = incidence_girth // 2
     forbidden = 2 * (m - 1)
     dbound = m - 1
-    witness = find_cycle_subgraph(g, forbidden, budget)
+    witness = find_cycle_subgraph(g, forbidden)
     diam = diameter(g)
     return PolarityReport(witness is ABSENT and diam <= dbound, forbidden, dbound, diam, witness)

@@ -43,9 +43,9 @@ templates between two tried ones in one step, one node per template: the
 budget cut and the state dumps fall on the node counts they would if
 each template were tried, and saved decisions are template indices.  A
 tried choice removes its edges on return.  The dead-obligation prepass
-reads the same count.  Two-witness choices and r >= 3 run the DFS.  At
-d = 2 an obligation is met when p_i and p_j are adjacent or share a
-neighbour, two mask tests; d = 3 runs a breadth-first search.
+reads the same count.  Two-witness choices and r >= 3 run the DFS.  An
+obligation is met when p_i and p_j are adjacent, share a neighbour, or
+(d = 3) ``reach[i] & adj[j]`` is non-zero: three mask tests.
 """
 
 from __future__ import annotations
@@ -150,26 +150,6 @@ class _Search:
         self.obligations.sort(key=lambda p: (p[1], p[0]))
         self.decisions: list[int] = []
         self.state_path = state_path
-
-    def _dist_at_most(self, a: int, b: int) -> bool:
-        """Whether p_a and p_b are within d by breadth-first search; at
-        d = 2 ``_dfs`` asks for an edge or a common neighbour instead."""
-        adj = self.adj
-        seen = 1 << a
-        frontier = seen
-        for _ in range(self.d):
-            grow = 0
-            while frontier:
-                low = frontier & -frontier
-                grow |= adj[low.bit_length() - 1]
-                frontier ^= low
-            if (grow >> b) & 1:
-                return True
-            frontier = grow & ~seen
-            seen |= grow
-            if not frontier:
-                return False
-        return False
 
     # -- choice enumeration ------------------------------------------------
 
@@ -288,7 +268,7 @@ class _Search:
             return True
         i, j = self.obligations[k]
         adj = self.adj
-        if (adj[i] >> j & 1 or adj[i] & adj[j]) if self.d == 2 else self._dist_at_most(i, j):
+        if adj[i] >> j & 1 or adj[i] & adj[j] or (self.d == 3 and _reach(adj, i) & adj[j]):
             self.decisions.append(-1)
             found = self._dfs(k + 1, replay[1:] if replay else [])
             self.decisions.pop()

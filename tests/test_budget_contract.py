@@ -24,7 +24,6 @@ from diamwidth.cycles import (
     vtype_or_etype_free,
 )
 from diamwidth.families import (
-    complete_bipartite,
     complete_graph,
     cycle_bouquet,
     cycle_graph,
@@ -33,14 +32,7 @@ from diamwidth.families import (
 )
 from diamwidth.graphs import BUDGET, Budget, BudgetExhausted, graph_from_edges
 from diamwidth.paths import find_induced_path
-from diamwidth.polarity import verify_polarity_claims
 from diamwidth.refuter import refute_path
-
-
-def twin_host():
-    # K_{6,2} with its hubs joined: C6-free, and four leaves are surplus twins
-    k = complete_bipartite(6, 2)
-    return graph_from_edges(k.n, [*k.edges(), (6, 7)])
 
 
 def random_graph(n, p, seed):
@@ -72,8 +64,6 @@ SEARCHES = {
     "vtype_or_etype_free": lambda b: vtype_or_etype_free(
         cycle_bouquet([5, 5], "vertex"), [5, 5], "vertex", b
     ),
-    # its report carries the C6 search's answer
-    "verify_polarity_claims": lambda b: verify_polarity_claims(twin_host(), 8, b).cycle_witness,
 }
 
 # Budgeted functions that are not decision searches: classify answers Open,
