@@ -388,9 +388,47 @@ def parse_family_spec(text: str) -> FamilySpec:
     return FamilySpec(name, tuple(args))
 
 
+# Family name -> the vertex count of the graph its builder makes from the
+# same args, computed without building it.
+_ORDERS: dict[str, Callable[..., int]] = {
+    "path": lambda n: n,
+    "cycle": lambda n: n,
+    "clique": lambda n: n,
+    "biclique": lambda r, s: r + s,
+    "spider": lambda *legs: 1 + sum(legs),
+    "hgraph": lambda i, l=1: i + 1 + 4 * l,
+    "cv": lambda *lengths: 1 + sum(l - 1 for l in lengths),
+    "ce": lambda *lengths: 2 + sum(l - 2 for l in lengths),
+    # 2h^2 + 4h wall vertices, and k more on each of its 3h^2 + 4h - 1 edges
+    "wall": lambda h, k=0: 2 * h * h + 4 * h + k * (3 * h * h + 4 * h - 1),
+    "apexpath": lambda n, b: n + 1,
+    "gadget-cw": lambda h: 2 * (2 * h * h + 4 * h) + 2,
+    "gadget-cv": lambda n: n + 13,
+    "gadget-ce": lambda n, l: n + 2 * l - 2,
+    "samecyc": lambda n, variant, l=None: n + 3,
+    "sub-biclique": lambda n: 2 * n + n * n,
+    "sub-clique": lambda n: n * n,
+    "er-polarity": lambda q: q * q + q + 1,
+    "union": lambda *parts: sum(_vertex_count(p) for p in parts),
+}
+
+# The most vertices a family spec may ask for: about seven times the
+# largest spec in use (cv:12x6,12x8, 145 vertices).  The densest family
+# at the cap, clique:1000, has 499,500 edges and builds in under a second.
+FAMILY_LIMIT = 1000
+
+
+def _vertex_count(spec: FamilySpec) -> int:
+    """The vertex count of ``build_family(spec)``, from the parameters."""
+    return _ORDERS[spec.family](*spec.args)
+
+
 def build_family(spec: FamilySpec | str) -> Graph:
     if isinstance(spec, str):
         spec = parse_family_spec(spec)
     if spec.family not in _BUILDERS:
         raise ValueError(f"unknown family {spec.family!r}")
+    n = _vertex_count(spec)
+    if n > FAMILY_LIMIT:
+        raise ValueError(f"{spec.text()} has {n} vertices, over the limit of {FAMILY_LIMIT}")
     return _BUILDERS[spec.family](*spec.args)

@@ -141,56 +141,66 @@ def treedepth_exact(g: Graph) -> WidthResult:
         return WidthResult("td", None, None, False, (lo, hi))
     if g.n == 0:
         return WidthResult("td", 0, EliminationForest(()), True)
-    adj = g.adj
     failed: dict[int, int] = {}  # mask -> largest k with td(mask) > k
     passed: dict[int, tuple[int, int]] = {}  # mask -> (least k seen with td <= k, root)
-
-    def within(mask: int, k: int) -> bool:
-        """Whether the connected set ``mask`` has treedepth <= k."""
-        c = mask.bit_count()
-        if c <= k:
-            return True  # a chain
-        if k <= failed.get(mask, 0):
-            return False
-        hit = passed.get(mask)
-        if hit is not None and hit[0] <= k:
-            return True
-        degree = {v: (adj[v] & mask).bit_count() for v in bit_indices(mask)}
-        # Forests of height k - 1 on the other c - 1 vertices hold at most
-        # (c-1)(k-2) - (k-1)(k-2)/2 edges; the root's edges cover the rest.
-        need = sum(degree.values()) // 2 - (c - 1) * (k - 2) + (k - 1) * (k - 2) // 2
-        for v in sorted(degree, key=degree.__getitem__, reverse=True):
-            if degree[v] < need:
-                break
-            rest = mask & ~(1 << v)
-            if k - 1 <= failed.get(rest, 0):
-                continue  # a connected rest already refuted, without splitting it
-            if all(within(p, k - 1) for p in component_masks(g, rest)):
-                passed[mask] = (k, v)
-                return True
-        failed[mask] = k
-        return False
-
-    def rebuild(mask: int, k: int, parent: int, parents: list[int]) -> None:
-        if mask.bit_count() <= k:
-            for v in bit_indices(mask):
-                parents[v] = parent
-                parent = v
-            return
-        k, root = passed[mask]
-        parents[root] = parent
-        for p in component_masks(g, mask & ~(1 << root)):
-            rebuild(p, k - 1, root, parents)
-
     parts = component_masks(g, (1 << g.n) - 1)
     value = _min_degree_elimination(g, fill=False)[0] + 1  # degeneracy <= tw <= td - 1
     for p in parts:
-        while not within(p, value):
+        while not _within(g, p, value, failed, passed):
             value += 1
     parents = [-1] * g.n
     for p in parts:
-        rebuild(p, value, -1, parents)
+        _rebuild(g, p, value, -1, parents, passed)
     return WidthResult("td", value, EliminationForest(tuple(parents)), True)
+
+
+def _within(
+    g: Graph, mask: int, k: int, failed: dict[int, int], passed: dict[int, tuple[int, int]]
+) -> bool:
+    """Whether the connected set ``mask`` has treedepth <= k.  A module
+    function, not a closure, like ``_grow``: ``failed`` and ``passed``
+    (hundreds of megabytes at 24 vertices) are freed when the call
+    returns, not when the garbage collector runs."""
+    c = mask.bit_count()
+    if c <= k:
+        return True  # a chain
+    if k <= failed.get(mask, 0):
+        return False
+    hit = passed.get(mask)
+    if hit is not None and hit[0] <= k:
+        return True
+    adj = g.adj
+    degree = {v: (adj[v] & mask).bit_count() for v in bit_indices(mask)}
+    # Forests of height k - 1 on the other c - 1 vertices hold at most
+    # (c-1)(k-2) - (k-1)(k-2)/2 edges; the root's edges cover the rest.
+    need = sum(degree.values()) // 2 - (c - 1) * (k - 2) + (k - 1) * (k - 2) // 2
+    for v in sorted(degree, key=degree.__getitem__, reverse=True):
+        if degree[v] < need:
+            break
+        rest = mask & ~(1 << v)
+        if k - 1 <= failed.get(rest, 0):
+            continue  # a connected rest already refuted, without splitting it
+        if all(_within(g, p, k - 1, failed, passed) for p in component_masks(g, rest)):
+            passed[mask] = (k, v)
+            return True
+    failed[mask] = k
+    return False
+
+
+def _rebuild(
+    g: Graph, mask: int, k: int, parent: int, parents: list[int], passed: dict[int, tuple[int, int]]
+) -> None:
+    """Write into ``parents`` the forest of height <= k that ``_within``
+    found for the connected set ``mask``, under ``parent``."""
+    if mask.bit_count() <= k:
+        for v in bit_indices(mask):
+            parents[v] = parent
+            parent = v
+        return
+    k, root = passed[mask]
+    parents[root] = parent
+    for p in component_masks(g, mask & ~(1 << root)):
+        _rebuild(g, p, k - 1, root, parents, passed)
 
 
 def treedepth_bounds(g: Graph) -> tuple[int, int]:

@@ -245,10 +245,42 @@ def _contract(g: Graph, u: int, v: int) -> Graph:
     return graph_from_edges(len(keep), sorted(edges))
 
 
+def _round_refine(adj: tuple[int, ...], cells: list[list[int]]) -> list[list[int]]:
+    """Stable iterated refinement by neighbour counts into every cell,
+    recomputed each round until no cell splits."""
+    while True:
+        masks = []
+        for cell in cells:
+            m = 0
+            for v in cell:
+                m |= 1 << v
+            masks.append(m)
+        new_cells: list[list[int]] = []
+        changed = False
+        for cell in cells:
+            if len(cell) == 1:
+                new_cells.append(cell)
+                continue
+            sig = {}
+            for v in cell:
+                key = tuple(map(int.bit_count, map(adj[v].__and__, masks)))
+                sig.setdefault(key, []).append(v)
+            if len(sig) == 1:
+                new_cells.append(cell)
+            else:
+                changed = True
+                for key in sorted(sig):
+                    new_cells.append(sig[key])
+        cells = new_cells
+        if not changed:
+            return cells
+
+
 def unpruned_canonical_code(g: Graph) -> bytes:
-    """``canon.canonical_code`` without automorphism pruning: the same
-    refinement and leaf encoding, every leaf of the search tree visited."""
-    from diamwidth.canon import _code_for_order, _refine
+    """``canon.canonical_code`` without pruning: refinement by counts into
+    every cell each round, the same leaf encoding, and every leaf of the
+    search tree visited."""
+    from diamwidth.canon import _code_for_order
 
     prefix = bytes([g.n]) + g.m.to_bytes(2, "big") + bytes(sorted(g.degrees))
     if g.n <= 1:
@@ -259,7 +291,7 @@ def unpruned_canonical_code(g: Graph) -> bytes:
     codes = []
 
     def search(cells: list[list[int]]) -> None:
-        cells = _refine(g.adj, cells)
+        cells = _round_refine(g.adj, cells)
         target = next((i for i, c in enumerate(cells) if len(c) > 1), None)
         if target is None:
             codes.append(_code_for_order(g.adj, [c[0] for c in cells]))

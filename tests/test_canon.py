@@ -26,8 +26,44 @@ def permuted(g, seed):
     return graph_from_edges(g.n, edges)
 
 
+def blown_up(g, copies, closed=()):
+    """g with each vertex v replaced by copies[v] twins: adjacent (true
+    twins) if v is in ``closed``, independent (false twins) otherwise."""
+    ids = []
+    for k in copies:
+        start = sum(map(len, ids))
+        ids.append(range(start, start + k))
+    edges = [(a, b) for u, v in g.edges() for a in ids[u] for b in ids[v]]
+    edges += [e for v in closed for e in combinations(ids[v], 2)]
+    return graph_from_edges(sum(copies), edges)
+
+
+def complete_multipartite(*sizes):
+    return blown_up(complete_graph(len(sizes)), sizes)
+
+
+# graphs on at most 8 vertices whose vertices mostly have twins
+TWIN_RICH = [
+    complete_multipartite(2, 3, 3),
+    complete_bipartite(1, 6),
+    blown_up(cycle_graph(5), [2, 2, 2, 1, 1]),
+    blown_up(cycle_graph(5), [2, 1, 2, 1, 2], closed=[2]),
+    blown_up(path_graph(4), [2, 1, 3, 2], closed=[0, 3]),
+    blown_up(complete_graph(3), [3, 2, 1], closed=[1]),
+]
+
+
 def test_relabel_invariance():
-    for g in [path_graph(6), cycle_graph(7), spider([2, 3, 1]), wall(2)]:
+    for g in [
+        path_graph(6),
+        cycle_graph(7),
+        spider([2, 3, 1]),
+        wall(2),
+        *TWIN_RICH,
+        complete_bipartite(1, 15),
+        complete_multipartite(4, 4, 4, 4),
+        blown_up(cycle_graph(5), [3, 3, 4, 3, 3], closed=[0, 2]),
+    ]:
         code = canonical_code(g)
         for seed in range(6):
             assert canonical_code(permuted(g, seed)) == code
@@ -61,7 +97,7 @@ def test_pruned_codes_equal_unpruned_search():
         code = canonical_code(g)
         assert code == unpruned_canonical_code(g), g
         assert canonical_code(permuted(g, i)) == code, g
-    for g in [wall(2), cycle_graph(9), complete_bipartite(3, 4), spider([2, 2, 2])]:
+    for g in [wall(2), cycle_graph(9), complete_bipartite(3, 4), spider([2, 2, 2]), *TWIN_RICH]:
         code = unpruned_canonical_code(g)
         for seed in range(3):
             assert canonical_code(permuted(g, seed)) == code
@@ -82,7 +118,7 @@ def test_pruned_codes_on_random_regular_graphs():
 
 def test_automorphisms_preserve_adjacency():
     pytest.importorskip("networkx")
-    graphs = atlas_graphs() + [wall(2), complete_bipartite(4, 4), edgeless_graph(9)]
+    graphs = atlas_graphs() + [wall(2), complete_bipartite(4, 4), edgeless_graph(9), *TWIN_RICH]
     for g in graphs:
         auts = []
         canonical_code(g, automorphisms=auts)
@@ -98,16 +134,27 @@ def test_automorphisms_preserve_adjacency():
 
 def test_symmetric_graphs_are_fast(monkeypatch):
     monkeypatch.setattr(canon, "CANON_LIMIT", 20)  # K10,10 is above the limit
+    # (graph, leaves): in K_n and the edgeless graph every vertex is a twin
+    # of the first one individualized.  In K_{n,n} the vertices of the
+    # other side are not its twins: the second leaf, on the other side,
+    # gives the automorphism that swaps the sides.
     cases = [
-        complete_graph(10),
-        edgeless_graph(10),
-        complete_bipartite(5, 5),
-        complete_bipartite(10, 10),
+        (complete_graph(10), 1),
+        (edgeless_graph(10), 1),
+        (complete_bipartite(5, 5), 2),
+        (complete_bipartite(10, 10), 2),
     ]
-    for g in cases:
+    leaves = []
+    encode = canon._code_for_order
+    monkeypatch.setattr(
+        canon, "_code_for_order", lambda adj, order: leaves.append(order) or encode(adj, order)
+    )
+    for g, expect in cases:
+        leaves.clear()
         t0 = time.perf_counter()
         auts = []
         code = canonical_code(g, automorphisms=auts)
         assert time.perf_counter() - t0 < 0.5, g
+        assert len(leaves) == expect, g
         assert auts
         assert canonical_code(permuted(g, 3)) == code

@@ -31,6 +31,17 @@ def test_construct_and_width(tmp_path, capsys):
     assert payload["schema"] == "td-elimination-forest/v1"
 
 
+def test_construct_refuses_a_huge_family_before_building(monkeypatch, capsys):
+    from diamwidth import families
+
+    def never(*args):
+        raise AssertionError("built past the cap")
+
+    monkeypatch.setitem(families._BUILDERS, "gadget-cv", never)
+    assert main(["construct", "gadget-cv:100000000"]) == 2
+    assert "over the limit" in capsys.readouterr().err
+
+
 def test_construct_writes_labels(tmp_path, capsys):
     g6 = str(tmp_path / "g.g6")
     labels = str(tmp_path / "labels.json")

@@ -1,5 +1,6 @@
 import pytest
 
+from diamwidth import families
 from diamwidth.canon import are_isomorphic
 from diamwidth.families import (
     apex_path,
@@ -267,6 +268,29 @@ def test_family_spec_round_trip():
             parse_family_spec(bad)
     assert parse_family_spec("apexpath:6,0110").args[1] == "0110"
     assert parse_family_spec("spider:1,2,3,4,5").args == (1, 2, 3, 4, 5)  # any leg count
+
+
+def test_vertex_counts_match_the_builders():
+    specs = [
+        "path:5", "cycle:7", "clique:6", "biclique:3,4", "spider:2,3,1", "hgraph:3",
+        "hgraph:2,3", "cv:12x6,12x8", "ce:6,6,5", "wall:3", "wall:2,2", "apexpath:7,101",
+        "gadget-cw:2", "gadget-cw:3", "gadget-cv:8", "gadget-ce:9,4", "samecyc:9,A",
+        "samecyc:9,B,4", "sub-biclique:3", "sub-clique:4", "er-polarity:5",
+        "union:cycle:5+wall:2+clique:3",
+    ]
+    assert {parse_family_spec(t).family for t in specs} == set(families._BUILDERS)
+    for text in specs:
+        spec = parse_family_spec(text)
+        assert families._vertex_count(spec) == build_family(spec).n, text
+
+
+def test_specs_over_the_cap_are_refused_before_building(monkeypatch):
+    monkeypatch.setattr(families, "FAMILY_LIMIT", 20)
+    assert build_family("wall:2").n == 16
+    assert build_family("union:cycle:10+clique:10").n == 20
+    for text in ("cycle:21", "wall:2,1", "union:cycle:10+clique:11", "er-polarity:5"):
+        with pytest.raises(ValueError, match="over the limit"):
+            build_family(text)
 
 
 def test_apex_path_is_join():

@@ -1,9 +1,11 @@
+import gc
 import hashlib
 import math
 import random
 
 import pytest
 
+from diamwidth.canon import canonical_code
 from diamwidth.families import (
     complete_bipartite,
     complete_graph,
@@ -284,3 +286,19 @@ def test_degenerate_graphs():
     results = [s(g) for s in SOLVERS]
     assert [r.value for r in results] == [4, 3, 3]
     assert all(verify_certificate(g, r) for r in results)
+
+
+def test_solvers_leave_no_cyclic_garbage():
+    # a recursive closure is a reference cycle: its memo would outlive the
+    # call until the garbage collector ran
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        for g in (gnp(14, 14, 0.3), complete_bipartite(4, 5)):
+            for solve in (canonical_code, *SOLVERS):
+                gc.collect()
+                solve(g)
+                assert gc.collect() == 0, (solve.__name__, g)
+    finally:
+        if enabled:
+            gc.enable()
