@@ -24,7 +24,11 @@ In a child C with new vertex w, key(v) = (-deg v, sorted degrees of
 C - v) orders the prefixes of the C - v; if some non-cut vertex v has
 key(v) < key(w), an earlier parent ≅ C - v also yields X, so C is not
 the first child seen in X and is dropped.  Degrees are compared first,
-and connectivity is checked only for vertices that beat w.  Every child
+and connectivity is checked only for vertices that beat w.  Most
+rejections are read off the parent before the child is built: if a
+non-cut vertex v of the parent has deg v + [v in N] > |N| for the new
+neighbourhood N != {v}, then v is non-cut in the child (N - {v} joins w
+to the parent - v) and its degree beats w's.  Every child
 that passes is deduplicated by canonical code as before, so the levels,
 their order and their representatives are unchanged.  With a hereditary
 ``keep``, a kept X has every connected X - v kept, so the earlier parent
@@ -38,7 +42,11 @@ A census grows only F-free graphs.  Freeness under subgraph, induced
 subgraph or minor is hereditary, so every parent G - v of an F-free
 child is F-free: enumerating with freeness as the ``keep`` predicate
 gives exactly the filtered levels, with the same representatives, from
-a fraction of the canonical-form calls.  Within a level, the exact
+a fraction of the canonical-form calls.  Since only kept graphs grow,
+the parent G - w of every child asked is F-free, so the child is
+F-free iff no copy of F contains w: the census searches only copies
+through w (``containment.through_vertex``), and runs the full test only
+for minors other than cycles and linear forests.  Within a level, the exact
 width solver runs only on graphs whose width upper bound (the greedy
 min-degree elimination bound of ``width`` for tw and pw, the order for
 td) exceeds the running maximum; the witness is the first graph with a
@@ -51,9 +59,9 @@ from collections.abc import Callable, Sequence
 from dataclasses import dataclass
 
 from .canon import canonical_code
-from .containment import ABSENT, has_induced_subgraph, has_minor, has_subgraph
+from .containment import ABSENT, has_induced_subgraph, has_minor, has_subgraph, through_vertex
 from .formats import to_graph6
-from .graphs import INFINITE, Graph, diameter, graph_from_edges
+from .graphs import INFINITE, Graph, component_masks, diameter, graph_from_edges
 from .width import _width_upper_bound, pathwidth_exact, treedepth_exact, treewidth_exact
 
 CENSUS_LIMIT = 9
@@ -135,6 +143,22 @@ def _last_may_be_first(adj: Sequence[int]) -> bool:
     return True
 
 
+def _beaten(parent: Graph) -> Callable[[int], bool]:
+    """A test of the new neighbourhoods N whose child ``_last_may_be_first``
+    rejects on degrees, read off the parent (module docstring)."""
+    full = (1 << parent.n) - 1
+    noncut = [(1 << v, d) for v, d in enumerate(parent.degrees)
+              if len(component_masks(parent, full ^ 1 << v)) == 1]
+    top = max((d for _, d in noncut), default=-1)
+
+    def test(nbhd: int) -> bool:
+        size = nbhd.bit_count()
+        return size <= top and any(
+            d + (nbhd & bit > 0) > size and nbhd != bit for bit, d in noncut)
+
+    return test
+
+
 def enumerate_connected_graphs(
     n_max: int, keep: Callable[[Graph], bool] | None = None
 ) -> list[list[Graph]]:
@@ -157,7 +181,10 @@ def enumerate_connected_graphs(
     for n in range(2, n_max + 1):
         seen: dict[bytes, tuple[Graph, list[tuple[int, ...]]]] = {}
         for base, gens in zip(levels[n - 1], generators):
+            beaten = _beaten(base)
             for nbhd in _orbit_minimal_masks(n - 1, gens):
+                if beaten(nbhd):
+                    continue
                 adj = [a | ((nbhd >> v) & 1) << (n - 1) for v, a in enumerate(base.adj)]
                 adj.append(nbhd)
                 if not _last_may_be_first(adj):
@@ -200,6 +227,19 @@ def is_pattern_free(g: Graph, forbidden: Graph, relation: str) -> bool:
     return _CHECKERS[relation](g, forbidden, None) is ABSENT
 
 
+def _free_keep(forbidden: Graph, relation: str, n_max: int) -> Callable[[Graph], bool]:
+    """Freeness as the census's ``keep``, asked only of children whose
+    parent G - w (w the last vertex) is free: those of kept graphs."""
+    if forbidden.n == 0:
+        return lambda g: False  # every graph contains the empty graph
+    if forbidden.n > n_max:
+        return lambda g: True  # no host has room for it
+    through = through_vertex(forbidden, relation)
+    if through is None:
+        return lambda g: is_pattern_free(g, forbidden, relation)
+    return lambda g: not through(g, g.n - 1)
+
+
 def census(
     n_max: int,
     forbidden: Graph,
@@ -219,9 +259,7 @@ def census(
         raise ValueError("d must be an integer >= 1 or infinity")
     solver = _SOLVERS[parameter]
     rows = []
-    levels = enumerate_connected_graphs(
-        n_max, lambda g: is_pattern_free(g, forbidden, relation)
-    )
+    levels = enumerate_connected_graphs(n_max, _free_keep(forbidden, relation, n_max))
     for n in range(1, n_max + 1):
         count = 0
         best: int | None = None

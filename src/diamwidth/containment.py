@@ -7,7 +7,9 @@ takes a node limit or a caller's ``Budget``.
 The subgraph matcher is a backtracking search over candidate bitmasks with
 degree and adjacency-consistency pruning; pattern vertices are ordered by
 descending degree with connectivity preference, host candidates ascending.
-The contract is exactness, not any particular search order.
+The contract is exactness, not any particular search order.  The same
+search, with its first pattern vertex pinned to one host vertex, finds
+the copies through that vertex (``through_vertex``).
 
 Minor containment decides cycle and linear-forest patterns exactly before
 the general branch-set search.  A pattern of maximum degree <= 3 is a
@@ -19,7 +21,11 @@ pattern goes to the branch-set search.
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass
+
+from . import cycles  # cycles_through_vertex is looked up there, where a tracer wraps it
+from .canon import _root, canonical_code
 from .graphs import (
     ABSENT,
     BUDGET,  # re-exported: callers read the contract from this module
@@ -86,9 +92,12 @@ def verify_embedding(host: Graph, pattern: Graph, emb: Embedding) -> bool:
     return False
 
 
-def _pattern_order(pattern: Graph) -> list[int]:
-    order: list[int] = []
-    placed = 0
+def _pattern_order(pattern: Graph, root: int | None = None) -> list[int]:
+    """Pattern vertices in search order: ``root`` first if given, then
+    repeatedly the vertex with most placed neighbours, highest degree,
+    least id."""
+    order = [] if root is None else [root]
+    placed = 0 if root is None else 1 << root
     while len(order) < pattern.n:
         best = None
         key = None
@@ -105,52 +114,54 @@ def _pattern_order(pattern: Graph) -> list[int]:
     return order
 
 
-def _match(host: Graph, pattern: Graph, induced: bool, budget: Budget):
-    if pattern.n == 0:
-        return Embedding("induced" if induced else "subgraph")
-    if pattern.n > host.n or pattern.m > host.m:
-        return ABSENT
-    order = _pattern_order(pattern)
-    mode = "induced" if induced else "subgraph"
-    hdeg = host.degrees
-    pdeg = pattern.degrees
-    full = (1 << host.n) - 1
-    base_cand = []
-    for p in order:
-        mask = 0
-        for v in range(host.n):
-            if hdeg[v] >= pdeg[p]:
-                mask |= 1 << v
-        base_cand.append(mask)
-    # earlier-neighbour constraints per position
-    nbr_pos: list[list[tuple[int, bool]]] = []
-    for k, p in enumerate(order):
-        cons = []
-        for k2 in range(k):
-            q = order[k2]
-            if pattern.has_edge(p, q):
-                cons.append((k2, True))
-            elif induced:
-                cons.append((k2, False))
-        nbr_pos.append(cons)
+def _plan(pattern: Graph, order: list[int], induced: bool):
+    """``order`` with, per position, the pattern degree and the earlier
+    positions whose images must be adjacent (True) or, when induced,
+    nonadjacent (False) to this one's."""
+    cons = [
+        [(k2, pattern.has_edge(p, q)) for k2, q in enumerate(order[:k])
+         if induced or pattern.has_edge(p, q)]
+        for k, p in enumerate(order)
+    ]
+    return order, [pattern.degree(p) for p in order], cons
 
-    images = [0] * pattern.n
+
+def _at_least(host: Graph) -> list[int]:
+    """at_least[d]: the mask of host vertices of degree >= d, d <= n."""
+    at_least = [0] * (host.n + 1)
+    for v, d in enumerate(host.degrees):
+        at_least[d] |= 1 << v
+    for d in range(host.n - 1, -1, -1):
+        at_least[d] |= at_least[d + 1]
+    return at_least
+
+
+def _search(host: Graph, at_least: list[int], plan, start: int, budget: Budget):
+    """The first copy in search order whose first position maps into the
+    vertex mask ``start``, as a vertex map, or ABSENT."""
+    order, pdeg, nbr_pos = plan
+    adj = host.adj
+    full = (1 << host.n) - 1
+    base_cand = [at_least[d] for d in pdeg]
+
+    size = len(order)
+    images = [0] * size
     used = 0
     spend = budget.spend
     k = 0
-    cand_stack: list[int] = [0] * pattern.n
+    cand_stack: list[int] = [0] * size
 
     def candidates(k: int) -> int:
         cand = base_cand[k] & ~used
         for k2, adjacent in nbr_pos[k]:
             img = images[k2]
             if adjacent:
-                cand &= host.adj[img]
+                cand &= adj[img]
             else:
-                cand &= full & ~host.adj[img] & ~(1 << img)
+                cand &= full & ~adj[img] & ~(1 << img)
         return cand
 
-    cand_stack[0] = candidates(0)
+    cand_stack[0] = candidates(0) & start
     while True:
         cand = cand_stack[k]
         if cand == 0:
@@ -164,14 +175,25 @@ def _match(host: Graph, pattern: Graph, induced: bool, budget: Budget):
         v = low.bit_length() - 1
         spend()
         images[k] = v
-        if k + 1 == pattern.n:
-            vm = [0] * pattern.n
+        if k + 1 == size:
+            vm = [0] * size
             for pos, p in enumerate(order):
                 vm[p] = images[pos]
-            return Embedding(mode, tuple(vm))
+            return tuple(vm)
         used |= 1 << v
         k += 1
         cand_stack[k] = candidates(k)
+
+
+def _match(host: Graph, pattern: Graph, induced: bool, budget: Budget):
+    mode = "induced" if induced else "subgraph"
+    if pattern.n == 0:
+        return Embedding(mode)
+    if pattern.n > host.n or pattern.m > host.m:
+        return ABSENT
+    plan = _plan(pattern, _pattern_order(pattern), induced)
+    vm = _search(host, _at_least(host), plan, (1 << host.n) - 1, budget)
+    return ABSENT if vm is ABSENT else Embedding(mode, vm)
 
 
 def has_subgraph(host: Graph, pattern: Graph, budget: int | Budget | None = DEFAULT_BUDGET):
@@ -228,6 +250,44 @@ def _cycle_minor(host: Graph, cyclic: list[int], budget: Budget):
             branch[cyclic[-1]] = frozenset(cyc[k - 1:])
             return Embedding("minor", branch_sets=tuple(branch))
     return ABSENT
+
+
+def through_vertex(pattern: Graph, relation: str) -> Callable[[Graph, int], bool] | None:
+    """For a nonempty pattern, a test ``(host, w)`` of whether host
+    contains it under ``relation`` when host - w does not; None for minors
+    other than cycles and linear forests.  Every copy then contains w, and
+    an automorphism moves the pattern vertex on w to the least of its
+    orbit, so one search rooted at w per orbit (of the automorphisms
+    ``canonical_code`` finds) decides subgraphs, induced subgraphs and
+    linear-forest minors.  C_k is a minor iff a cycle of length >= k
+    passes through w."""
+    if relation == "minor":
+        if cycle_order(pattern) is not None:
+            k = pattern.n
+            return lambda host, w: any(
+                cycles.cycles_through_vertex(host, w, length, 0, 1, None)
+                for length in range(k, host.n + 1))
+        if not is_linear_forest(pattern):
+            return None
+    auts: list[tuple[int, ...]] = []
+    canonical_code(pattern, automorphisms=auts)
+    orbit = list(range(pattern.n))
+    for gamma in auts:
+        for a, b in enumerate(gamma):
+            ra, rb = _root(orbit, a), _root(orbit, b)
+            orbit[max(ra, rb)] = min(ra, rb)
+    induced = relation == "induced"
+    plans = [_plan(pattern, _pattern_order(pattern, r), induced)
+             for r in range(pattern.n) if _root(orbit, r) == r]
+
+    def test(host: Graph, w: int) -> bool:
+        if pattern.n > host.n:
+            return False
+        at_least = _at_least(host)
+        return any(_search(host, at_least, plan, 1 << w, Budget(None)) is not ABSENT
+                   for plan in plans)
+
+    return test
 
 
 def _minor(host: Graph, pattern: Graph, budget: Budget):

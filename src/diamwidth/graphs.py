@@ -227,19 +227,29 @@ def distances_from(g: Graph, source: int) -> list[int | float]:
 
 
 def diameter(g: Graph) -> int | float:
-    """Max pairwise distance; INFINITE when disconnected; error on empty."""
+    """Max pairwise distance; INFINITE when disconnected; error on empty.
+    Grows every ball at once: B_{r+1}(v) is the union of B_r(u) over the
+    closed neighbourhood of v."""
     if g.n == 0:
         raise ValueError("diameter of the empty graph is undefined")
-    if g.n == 1:
-        return 0
-    best: int | float = 0
-    for v in range(g.n):
-        ecc = max(distances_from(g, v))
-        if ecc == INFINITE:
+    full = (1 << g.n) - 1
+    adj = g.adj
+    balls = [a | 1 << v for v, a in enumerate(adj)]
+    radius = 1 if g.n > 1 else 0  # K1 has diameter 0
+    while any(b != full for b in balls):
+        grown = []
+        for v, b in enumerate(balls):
+            rest = adj[v]
+            while rest:
+                low = rest & -rest
+                rest ^= low
+                b |= balls[low.bit_length() - 1]
+            grown.append(b)
+        if grown == balls:
             return INFINITE
-        if ecc > best:
-            best = ecc
-    return best
+        balls = grown
+        radius += 1
+    return radius
 
 
 # -- composition operations ----------------------------------------------

@@ -109,7 +109,13 @@ def _min_degree_elimination(g: Graph, fill: bool = True) -> tuple[int, list[int]
     width = 0
     order = []
     while alive:
-        v = min(bit_indices(alive), key=lambda u: (adj[u] & alive).bit_count())
+        v, least, rest = -1, g.n, alive  # the least id of least degree
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            d = (adj[low.bit_length() - 1] & alive).bit_count()
+            if d < least:
+                v, least = low.bit_length() - 1, d
         alive &= ~(1 << v)
         nb = adj[v] & alive
         width = max(width, nb.bit_count())

@@ -6,6 +6,7 @@ from diamwidth import census as census_module
 from diamwidth.canon import canonical_code
 from diamwidth.census import (
     _SOLVERS,
+    _beaten,
     _deletion_key,
     _last_may_be_first,
     _orbit_minimal_masks,
@@ -15,9 +16,23 @@ from diamwidth.census import (
     enumerate_connected_graphs,
     is_pattern_free,
 )
-from diamwidth.families import build_family, complete_graph, path_graph
+from diamwidth.containment import through_vertex
+from diamwidth.families import (
+    build_family,
+    complete_bipartite,
+    complete_graph,
+    cycle_graph,
+    path_graph,
+)
 from diamwidth.formats import from_graph6, to_graph6
-from diamwidth.graphs import INFINITE, component_masks, delete_vertex, diameter
+from diamwidth.graphs import (
+    INFINITE,
+    Graph,
+    component_masks,
+    delete_vertex,
+    diameter,
+    disjoint_union,
+)
 from diamwidth.width import _width_upper_bound, treedepth_exact
 from oracles import atlas_graphs
 
@@ -100,6 +115,30 @@ def test_canonical_code_calls_are_pinned(monkeypatch):
         calls.clear()
         enumerate_connected_graphs(7, lambda g: is_pattern_free(g, forbidden, relation))
         assert len(calls) == expect, spec
+
+
+def test_the_parent_degree_test_skips_only_rejected_children(unpruned):
+    # every child on <= 7 vertices: each parent, each nonempty neighbourhood
+    skipped = 0
+    for level in unpruned[1:7]:
+        for parent in level:
+            beaten = _beaten(parent)
+            w = parent.n
+            for nbhd in range(1, 1 << w):
+                if beaten(nbhd):
+                    adj = [a | ((nbhd >> v) & 1) << w for v, a in enumerate(parent.adj)]
+                    assert not _last_may_be_first(adj + [nbhd])
+                    skipped += 1
+    assert skipped == 5128  # of 7,815 children; 6,193 are rejected
+
+
+def test_children_reaching_the_deletion_test_are_pinned(monkeypatch):
+    calls = []
+    monkeypatch.setattr(
+        census_module, "_last_may_be_first", lambda adj: calls.append(adj) or _last_may_be_first(adj)
+    )
+    enumerate_connected_graphs(7)
+    assert len(calls) == 1593  # 4,159 without the parent's degree test
 
 
 def test_orbit_minimal_masks():
@@ -235,3 +274,44 @@ def test_enumeration_rejects_orders_below_one():
         with pytest.raises(ValueError, match="n_max"):
             enumerate_connected_graphs(n_max)
     assert [len(level) for level in enumerate_connected_graphs(1)] == [0, 1]
+
+
+_TWO_K2 = disjoint_union(path_graph(2), path_graph(2))
+_THROUGH_CASES = [
+    (name, g, relation)
+    for name, g in (("K1", path_graph(1)), ("K3", complete_graph(3)), ("C4", cycle_graph(4)),
+                    ("C5", cycle_graph(5)), ("P4", path_graph(4)), ("K13", complete_bipartite(1, 3)),
+                    ("2K2", _TWO_K2), ("P2+P3", disjoint_union(path_graph(2), path_graph(3))))
+    for relation in ("subgraph", "induced")
+] + [(name, g, "minor") for name, g in (
+    ("C4", cycle_graph(4)), ("C5", cycle_graph(5)), ("C6", cycle_graph(6)), ("P4", path_graph(4)))]
+
+
+@pytest.mark.parametrize("name, forbidden, relation", _THROUGH_CASES,
+                         ids=[f"{name}-{relation}" for name, _, relation in _THROUGH_CASES])
+def test_a_copy_through_the_new_vertex_decides_freeness(name, forbidden, relation):
+    # every child the filtered enumeration builds has a free parent G - w
+    through = through_vertex(forbidden, relation)
+    asked = []
+
+    def keep(g):
+        free = is_pattern_free(g, forbidden, relation)
+        assert through(g, g.n - 1) is not free, (name, to_graph6(g))
+        asked.append(g)
+        return free
+
+    enumerate_connected_graphs(7, keep)
+    assert asked
+
+
+@pytest.mark.parametrize("args, csv", [
+    # the empty pattern lies in every graph; a 20-vertex one in none here
+    ((4, Graph(0, ()), "subgraph", 2, "td"), "1,0,,\n2,0,,\n3,0,,\n4,0,,\n"),
+    ((4, path_graph(20), "induced", 2, "td"), "1,1,1,@\n2,1,2,A_\n3,2,3,Bw\n4,5,4,C~\n"),
+    ((7, _TWO_K2, "subgraph", 3, "pw"),
+     "1,1,0,@\n2,1,1,A_\n3,2,2,Bw\n4,1,1,Cs\n5,1,1,Ds_\n6,1,1,Esa?\n7,1,1,FsaC?\n"),
+    ((7, complete_bipartite(1, 3), "induced", 2, "td"),
+     "1,1,1,@\n2,1,2,A_\n3,2,3,Bw\n4,4,4,C~\n5,10,5,D~{\n6,29,6,E~~w\n7,100,7,F~~~w\n"),
+])
+def test_census_rows_of_edge_case_patterns_are_pinned(args, csv):
+    assert census_to_csv(census(*args)) == "n,count,max_width,witness_graph6\n" + csv

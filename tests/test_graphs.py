@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from diamwidth.canon import are_isomorphic
@@ -74,6 +76,20 @@ def test_diameter_examples():
     assert diameter(edgeless_graph(1)) == 0
     with pytest.raises(ValueError):
         diameter(edgeless_graph(0))
+
+
+def test_diameter_matches_networkx_and_breadth_first_search():
+    nx = pytest.importorskip("networkx")
+    # every graph on 1..7 vertices, disconnected ones included
+    for g in atlas_graphs():
+        h = to_networkx(g)
+        assert diameter(g) == (nx.diameter(h) if nx.is_connected(h) else INFINITE)
+    rng = random.Random(29)
+    for n in range(1, 17):
+        for _ in range(6):
+            g = graph_from_edges(
+                n, [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < 0.2])
+            assert diameter(g) == max(max(distances_from(g, v)) for v in range(n))
 
 
 def test_join_apex_dominates_property():
